@@ -7,7 +7,7 @@ would end a quarter past the window), then verifies
 every output and prints its metrics; the last line of standard output is a
 JSON object ``{"correct", "attempted", "failed", "metrics"}``.
 
-    python3 bench/run.py --workload house_sweep [--seed 1803] [--seconds 20] [--trace 0]
+    python3 bench/run.py --workload house_sweep [--seed 1803] [--seconds 35] [--trace 0]
     python3 bench/run.py --workload all         # every workload in turn
 
 Workloads (inputs come from ``gen.py``, seeded by ``--seed``):
@@ -17,16 +17,17 @@ Workloads (inputs come from ``gen.py``, seeded by ``--seed``):
 * ``dense_sweep``: default grid on 250k samples of the random step trace,
   the event sampler's worst case (a message about every 30 samples).
 * ``house_periodic``: the same house with one 100 %/100 % event cell, so
-  ingest, periodic sampling and scoring dominate.
+  ingest, periodic sampling and scoring dominate. A diagnostic view only:
+  ``BENCHMARK.json`` does not list it, so no bound applies to it.
 
 ``--trace 0`` reports the end-to-end metrics from untraced runs:
 ``run_s`` (median wall time of one invocation, launch to exit),
 ``points_per_s`` (trace samples x grid points / run_s), ``setup_s``
 (median time for a fresh interpreter to import meterdelta) and
 ``peak_rss_mb`` (median peak resident memory of the CLI process).
-``--trace 1`` alternates untraced and traced invocations (see
-``traced_cli.py``) and reports the per-layer metrics, including
-``bench.trace_overhead_s``; spans go to ``.bench_cache/spans/``.
+``--trace 1`` runs traced invocations only (see ``traced_cli.py``) and
+reports the per-layer metrics, including ``bench.trace_overhead_s``; spans
+go to ``.bench_cache/spans/``.
 
 Inputs are generated before any timing and cached in ``.bench_cache/``
 by input kind and seed. A run fails on a non-zero exit, a traceback, or an
@@ -62,7 +63,6 @@ DEFAULT_SEED = 1803
 DEADLINE_S = 150.0  # start no invocation that could end after this
 CHILD_TIMEOUT_S = 170.0
 SETUP_REPEATS = 9
-KEEP_INPUTS = 10  # cached input sets kept per kind, about 55 MB per house
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,12 @@ def _generate(kind: str, seed: int, target: Path) -> None:
     os.replace(tmp, target)
 
 
-def _evict(kind: str, keep: Path) -> None:
-    stale = sorted((d for d in (CACHE / "inputs").glob(f"{kind}-*") if d != keep),
-                   key=lambda d: d.stat().st_mtime, reverse=True)
-    for d in stale[KEEP_INPUTS - 1:]:
-        shutil.rmtree(d, ignore_errors=True)
-
-
 def prepare(w: Workload, seed: int) -> Inputs:
     """Generate (or reuse) the inputs and the oracle answers of a workload."""
     target = CACHE / "inputs" / f"{w.kind}-{seed}"
     if not (target / "truth.npz").is_file():
         target.parent.mkdir(parents=True, exist_ok=True)
         _generate(w.kind, seed, target)
-    os.utime(target)
-    _evict(w.kind, target)
     with np.load(target / "truth.npz") as z:
         truth = gen.Truth(z["timestamps"], z["powers"], int(z["lines"]), int(z["intersection_dropped"]))
     cells = []
@@ -296,25 +287,22 @@ def measure(w: Workload, seed: int, seconds: float, trace: bool, t_launch: float
     check_program(scratch)  # also compiles the bytecode before any timing
     setup = None if trace else setup_seconds(scratch)
 
-    plain: list[Invocation] = []
-    traced: list[Invocation] = []
+    runs: list[Invocation] = []
     records = []
+    spans = scratch / "spans.json" if trace else None
     t0 = time.perf_counter()
     while True:
-        plain.append(invoke(w, inputs, scratch))
-        if trace:
-            spans = scratch / "spans.json"
+        if spans:
             spans.unlink(missing_ok=True)
-            traced.append(invoke(w, inputs, scratch, spans))
-            if spans.is_file():
-                records.append(json.loads(spans.read_text(encoding="utf-8")))
+        runs.append(invoke(w, inputs, scratch, spans))
+        if spans and spans.is_file():
+            records.append(json.loads(spans.read_text(encoding="utf-8")))
         elapsed = time.perf_counter() - t0
-        step = plain[-1].proc.wall_s + (traced[-1].proc.wall_s if trace else 0.0)
+        step = runs[-1].proc.wall_s
         # start no invocation predicted to overrun the window by a quarter
         if (elapsed >= seconds or elapsed + step > 1.25 * seconds
                 or time.perf_counter() - t_launch + 1.2 * step > DEADLINE_S):
             break
-    runs = plain + traced
     check_outputs(w, seed, inputs, runs)
     problems = [p for r in runs for p in r.problems]
     attempted, failed = len(runs), sum(1 for r in runs if r.problems)
@@ -324,20 +312,15 @@ def measure(w: Workload, seed: int, seconds: float, trace: bool, t_launch: float
         failed += bool(sample_problems)
         problems += sample_problems
 
-    ok = [r for r in plain if not r.problems] or plain
-    run_s = statistics.median(r.proc.wall_s for r in ok)
     if trace:
         spans_dir = CACHE / "spans"
         spans_dir.mkdir(exist_ok=True)
         (spans_dir / f"{w.name}-{seed}.json").write_text(json.dumps(records), encoding="utf-8")
-        extra_metrics = {
-            "cli.output_bytes": (statistics.median(r.output_bytes for r in traced), "bytes written"),
-            "bench.trace_overhead_s": (
-                statistics.median(r.proc.wall_s for r in traced) - run_s,
-                f"traced minus untraced median wall, {len(traced)}+{len(plain)} runs"),
-        }
-        metrics = traced_cli.layer_metrics(records, extra_metrics)
+        output_bytes = (statistics.median(r.output_bytes for r in runs), "bytes written")
+        metrics = traced_cli.layer_metrics(records, {"cli.output_bytes": output_bytes})
     else:
+        ok = [r for r in runs if not r.problems] or runs
+        run_s = statistics.median(r.proc.wall_s for r in ok)
         samples = int(inputs.truth.timestamps.size)
         metrics = {
             "run_s": (run_s, "s", f"median of {len(ok)} invocations"),
@@ -366,7 +349,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     t_launch = time.perf_counter()

@@ -71,6 +71,8 @@ def test_house_is_segmented_and_loses_samples_to_the_intersection(tmp_path, hous
     assert metrics["ingest.intersection_dropped"] > 0
     assert metrics["ingest.intersection_dropped"] == truth.intersection_dropped
     assert metrics["ingest.lines"] == truth.lines
+    assert metrics["trace.duplicates_collapsed"] == 10  # 5 repeated lines per leg
+    assert metrics["bench.trace_overhead_s"] > 0
 
 
 def test_message_density_at_one_percent(tmp_path, house, dense):

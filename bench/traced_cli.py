@@ -8,7 +8,9 @@ span (name, start, end, parent, run id) and, after the span closes, a few
 counts derived from the call's arguments and result. Counting runs inside
 a ``bench.count`` span so that it never inflates a layer's own time. Spans
 stay in memory until the CLI returns, then go to SPANS.json together with
-the functions that could not be found.
+the functions that could not be found, the time taken to install the
+wrappers and the measured cost of one wrapped call, from which
+``bench.trace_overhead_s`` is derived.
 
 ``layer_metrics`` turns those spans into the per-layer metrics.
 """
@@ -40,6 +42,7 @@ def _counters(message_count):
         channels = args[0] if args else kwargs["channels"]
         return {
             "channels": len(channels),
+            "rows_in": sum(len(ch) for ch in channels),
             "distinct_in": sum(len({t for t, _ in ch}) for ch in channels),
             "out": len(result),
         }
@@ -137,14 +140,34 @@ def install(tracer: Tracer) -> list[str]:
     return missing
 
 
+def span_cost(calls: int = 20_000) -> float:
+    """Seconds one wrapped call adds to a call, measured on a no-op."""
+
+    def noop():
+        return None
+
+    wrapped = Tracer("cost").wrap("cost", noop)
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        wrapped()
+    traced = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        noop()
+    return max(traced - (time.perf_counter() - t0), 0.0) / calls
+
+
 def main(argv: list[str]) -> int:
     spans_path, cli_args = argv[0], argv[1:]
+    cli = importlib.import_module("meterdelta.cli")  # an untraced run imports this too
     tracer = Tracer(run_id=f"{os.getpid()}-{time.time_ns()}")
+    t0 = time.perf_counter()
     missing = install(tracer)
-    cli = sys.modules["meterdelta.cli"]
+    install_s = time.perf_counter() - t0
     code = cli.main(cli_args)
     with open(spans_path, "w", encoding="utf-8") as fh:
-        json.dump({"run": tracer.run_id, "missing": missing, "spans": tracer.spans}, fh)
+        json.dump({"run": tracer.run_id, "missing": missing, "install_s": install_s,
+                   "span_cost_s": span_cost(), "spans": tracer.spans}, fh)
     return code
 
 
@@ -232,6 +255,9 @@ def _one_run(record: dict) -> dict[str, tuple[float, str]]:
     dropped = sum(s["counts"].get("distinct_in", 0)
                   - s["counts"].get("channels", 0) * s["counts"].get("out", 0) for s in combines)
     validated = named("trace.validate_trace")
+    duplicates = (sum(s["counts"].get("rows_in", 0) - s["counts"].get("distinct_in", 0) for s in combines)
+                  + sum(s["counts"].get("rows_in", 0) - s["counts"].get("rows_out", 0) for s in validated))
+    count_s = total("bench.count")
     return {
         "ingest.parse_s": (total("ingest.load_redd_channel"), calls("ingest.load_redd_channel")),
         "ingest.combine_s": (total("ingest.combine_mains"), calls("ingest.combine_mains")),
@@ -239,8 +265,7 @@ def _one_run(record: dict) -> dict[str, tuple[float, str]]:
         "ingest.intersection_dropped": (dropped, "distinct leg samples without a partner"),
         "trace.validate_s": (total("trace.validate_trace"), calls("trace.validate_trace")),
         "trace.duplicates_collapsed": (
-            sum(s["counts"].get("rows_in", 0) - s["counts"].get("rows_out", 0) for s in validated),
-            "rows in minus samples out"),
+            duplicates, "repeated timestamps dropped by combine_mains and validate_trace"),
         "trace.stats_s": (total("trace.trace_stats"), calls("trace.trace_stats")),
         "trace.segment_s": (total("trace.segment_trace"), calls("trace.segment_trace")),
         "trace.segments": (counted("trace.segment_trace", "segments"), "segments"),
@@ -265,6 +290,10 @@ def _one_run(record: dict) -> dict[str, tuple[float, str]]:
         "evaluate.sweep_self_s": (self_time("evaluate.run_sweep"), "run_sweep minus its child spans"),
         "cli.run_s": (total("cli.main"), calls("cli.main")),
         "cli.self_s": (self_time("cli.main"), "cli.main minus its child spans"),
+        "bench.trace_overhead_s": (
+            record["install_s"] + count_s + len(spans) * record["span_cost_s"],
+            f"install {record['install_s']:.3g} s + counting {count_s:.3g} s"
+            f" + {len(spans)} spans x {record['span_cost_s']:.3g} s"),
     }
 
 
