@@ -1,10 +1,14 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from meterdelta import segment_trace, validate_trace
 from meterdelta.cli import main
 
 from conftest import TRACE_A_POWERS
+from oracles import random_gappy_trace
 
 
 @pytest.fixture
@@ -226,3 +230,42 @@ def test_multiple_inputs_to_stdout_rejected(trace_a_file, house_dir):
         ["diffdist", "--input", str(trace_a_file), "--input", str(house_dir)]
     )
     assert code == 2
+
+
+# sha256 of each output on the gappy fixture below; any byte that changes
+# across commits fails this test, unlike the rerun test, which compares two
+# runs of the same code
+PINNED_SHA256 = {
+    "sweep.json": "69932639af7c157966fe2b7775aea0b26c4913ee93739efc4a718f9a31d56289",
+    "sweep.csv": "60f24fdf2d352664afea21a51f34bd9a2237a28ddb2b96d883996a414f6db167",
+    "sample_event": "dcbb232de901d938d026b7552610cef1ba5a7b21d453780806a5af0c365619b3",
+    "sample_time_dt7": "0403bcbc30cb5bb6c3fa825b5664ab7b6fecf4877c5cdc963930b56f78593acc",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    samples = random_gappy_trace(
+        np.random.default_rng(1808), length=1500, gap_chance=0.004, max_gap=400
+    )
+    durations = [s.duration for s in segment_trace(validate_trace(samples), 60)]
+    assert len(durations) >= 3 and all(d % 10 for d in durations)
+    f = tmp_path / "gappy.dat"
+    f.write_text("".join(f"{t} {p}\n" for t, p in samples))
+    common = ["--input", str(f), "--max-gap", "60"]
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert main(["sweep", *common, "--out", str(tmp_path / "out")]) == 0
+    got = {
+        "sweep.json": sha((tmp_path / "out" / "gappy_sweep.json").read_bytes()),
+        "sweep.csv": sha((tmp_path / "out" / "gappy_sweep.csv").read_bytes()),
+    }
+    capsys.readouterr()
+    for name, extra in (
+        ("sample_event", ["--strategy", "event"]),
+        ("sample_time_dt7", ["--strategy", "time", "--delta-t", "7"]),
+    ):
+        assert main(["sample", *common, *extra]) == 0
+        got[name] = sha(capsys.readouterr().out.encode("utf-8"))
+    assert got == PINNED_SHA256
