@@ -15,6 +15,7 @@ from .errors import (
     NegativePowerError,
     NonFiniteError,
     ParseError,
+    TimestampRangeError,
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
@@ -22,7 +23,6 @@ from .evaluate import (
     COMPRESSION_REFERENCE_DT,
     DEFAULT_DT_GRID,
     EvalResult,
-    ReconstructedTrace,
     SweepResult,
     compression_ratio,
     error_components,
@@ -39,7 +39,6 @@ from .ingest import (
     load_redd_house,
 )
 from .sampler import (
-    MeterReading,
     ReadingStream,
     message_count,
     sample_event_based,
@@ -55,7 +54,6 @@ from .thresholds import (
 from .trace import (
     DiffDistribution,
     PowerTrace,
-    Segment,
     TraceStats,
     first_difference_distribution,
     merge_segments,
@@ -76,7 +74,6 @@ __all__ = [
     "EmptyInputError",
     "EvalResult",
     "MeterDeltaError",
-    "MeterReading",
     "MismatchedSegmentError",
     "MissingColumnError",
     "NegativePowerError",
@@ -84,11 +81,10 @@ __all__ = [
     "ParseError",
     "PowerTrace",
     "ReadingStream",
-    "ReconstructedTrace",
-    "Segment",
     "SweepResult",
     "ThresholdSpec",
     "Thresholds",
+    "TimestampRangeError",
     "TraceStats",
     "ZeroCandidateError",
     "ZeroEnergySegmentError",

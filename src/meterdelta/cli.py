@@ -23,9 +23,10 @@ from pathlib import Path
 from .errors import MeterDeltaError
 from .evaluate import DEFAULT_DT_GRID, SweepResult, run_sweep
 from .ingest import load_csv, load_redd_channel, load_redd_house
-from .sampler import ReadingStream, sample_event_based, sample_time_based
+from .sampler import TRIGGERS, ReadingStream, sample_event_based, sample_time_based
 from .thresholds import DEFAULT_PERCENT_GRID, Thresholds, ThresholdSpec, derive_thresholds
 from .trace import (
+    SECONDS_PER_HOUR,
     PowerTrace,
     first_difference_distribution,
     segment_trace,
@@ -69,6 +70,8 @@ def _parse_number_list(text: str, kind, flag: str) -> tuple:
 def _config_from_args(args) -> RunConfig:
     if args.max_gap < 1:
         raise ConfigError("--max-gap must be >= 1")
+    if len(args.delimiter) != 1:
+        raise ConfigError("--delimiter must be a single character")
     dt_list = _parse_number_list(args.dt, int, "--dt") if hasattr(args, "dt") else ()
     if dt_list and min(dt_list) < 1:
         raise ConfigError("--dt values must be >= 1")
@@ -203,10 +206,11 @@ def cmd_diffdist(cfg: RunConfig) -> int:
 
 def _readings_csv(streams: list[ReadingStream]) -> str:
     lines = ["timestamp,trigger,energy_wh,power_w"]
-    for stream in streams:
+    for s in streams:
+        columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
         lines += [
-            f"{r.timestamp},{r.trigger},{r.energy_wh:.6f},{r.power_w:.2f}"
-            for r in stream.readings
+            f"{t},{TRIGGERS[code]},{e_wh:.6f},{p:.2f}"
+            for t, code, e_wh, p in zip(*(c.tolist() for c in columns))
         ]
     return "\n".join(lines) + "\n"
 
@@ -227,8 +231,8 @@ def _sample_thresholds(args, cfg: RunConfig, trace: PowerTrace) -> Thresholds:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     _require_single_or_out(cfg)
-    if args.strategy == "time" and args.delta_t is None:
-        raise ConfigError("time strategy needs --delta-t")
+    if args.strategy == "time" and (args.delta_t is None or args.delta_t < 1):
+        raise ConfigError("time strategy needs --delta-t >= 1")
     for trace_id, trace in _load_traces(cfg):
         segments = segment_trace(trace, cfg.max_gap)
         if args.strategy == "time":

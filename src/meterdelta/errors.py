@@ -18,6 +18,14 @@ class NonFiniteError(MeterDeltaError):
         self.timestamp = timestamp
 
 
+class TimestampRangeError(MeterDeltaError):
+    """A timestamp does not fit the signed 64-bit epoch-seconds range."""
+
+    def __init__(self, timestamp):
+        super().__init__(f"timestamp {timestamp:.0f} is outside the int64 range")
+        self.timestamp = timestamp
+
+
 class NegativePowerError(MeterDeltaError):
     """A sample reports negative power."""
 

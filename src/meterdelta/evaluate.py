@@ -10,7 +10,6 @@ whole-trace statistics.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,18 +22,10 @@ from .errors import (
 )
 from .sampler import ReadingStream, message_count, sample_event_based, sample_time_based
 from .thresholds import Thresholds, ThresholdSpec, threshold_grid
-from .trace import Segment, TraceStats, merge_segments, trace_stats
+from .trace import PowerTrace, TraceStats, merge_segments, trace_stats
 
 DEFAULT_DT_GRID = (10, 30, 60, 300, 600, 900, 1800, 3600, 7200)
 COMPRESSION_REFERENCE_DT = 10
-
-
-@dataclass(frozen=True, eq=False)
-class ReconstructedTrace:
-    """Average-power signal on the same present-sample grid as its segment."""
-
-    timestamps: np.ndarray
-    powers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,38 +52,43 @@ class SweepResult:
     event_based: tuple[EvalResult, ...]
 
 
-def reconstruct(stream: ReadingStream, segment: Segment) -> ReconstructedTrace:
+def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     """Rebuild the average-power signal a receiver would infer from a stream.
 
     For each consecutive reading pair (previous at t0, current at t1), every
-    grid second in [t0, t1) takes the value energy / (t1 - t0). The stream
-    must have been produced from the given segment.
+    grid second in [t0, t1) takes the value energy / (t1 - t0). The result
+    shares the segment's timestamps, so it sits on the same present-sample
+    grid. The stream must have been produced from the given segment.
     """
     if stream.segment_start != segment.start or stream.segment_end != segment.end:
         raise MismatchedSegmentError(
             f"stream covers [{stream.segment_start}, {stream.segment_end}), "
             f"segment covers [{segment.start}, {segment.end})"
         )
-    reading_ts = np.array([r.timestamp for r in stream.readings], dtype=np.int64)
+    reading_ts = stream.timestamps
     if reading_ts[0] < segment.start or reading_ts[-1] > segment.end:
         raise MismatchedSegmentError("stream timestamps fall outside the segment")
-    energies = np.array([r.energy_ws for r in stream.readings], dtype=np.float64)
-    widths = np.diff(reading_ts).astype(np.float64)
-    interval_power = energies[1:] / widths
+    interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
     idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
-    return ReconstructedTrace(segment.timestamps, interval_power[idx])
+    return PowerTrace(segment.timestamps, interval_power[idx], segment.nominal_resolution)
 
 
-def error_components(original: Segment, reconstructed: ReconstructedTrace) -> tuple[float, float]:
-    """Numerator and denominator of NMAE, for aggregation across segments."""
+def _residual(original: PowerTrace, reconstructed: PowerTrace) -> np.ndarray:
+    """Per-second original minus reconstructed power, once both are known
+    to sit on the same grid."""
     if not np.array_equal(original.timestamps, reconstructed.timestamps):
         raise MismatchedSegmentError("reconstruction is not on the segment's grid")
-    numerator = float(np.abs(original.powers - reconstructed.powers).sum())
+    return original.powers - reconstructed.powers
+
+
+def error_components(original: PowerTrace, reconstructed: PowerTrace) -> tuple[float, float]:
+    """Numerator and denominator of NMAE, for aggregation across segments."""
+    numerator = float(np.abs(_residual(original, reconstructed)).sum())
     denominator = float(original.powers.sum())
     return numerator, denominator
 
 
-def nmae(original: Segment, reconstructed: ReconstructedTrace) -> float:
+def nmae(original: PowerTrace, reconstructed: PowerTrace) -> float:
     """Sum of absolute per-second errors over the sum of original powers."""
     numerator, denominator = error_components(original, reconstructed)
     if denominator <= 0:
@@ -100,12 +96,10 @@ def nmae(original: Segment, reconstructed: ReconstructedTrace) -> float:
     return numerator / denominator
 
 
-def rmse(original: Segment, reconstructed: ReconstructedTrace) -> float:
+def rmse(original: PowerTrace, reconstructed: PowerTrace) -> float:
     """Root-mean-square error in watts. Secondary metric only; it punishes
     the large deviations periodic averaging produces far harder than NMAE."""
-    if not np.array_equal(original.timestamps, reconstructed.timestamps):
-        raise MismatchedSegmentError("reconstruction is not on the segment's grid")
-    return float(np.sqrt(np.mean((original.powers - reconstructed.powers) ** 2)))
+    return float(np.sqrt(np.mean(_residual(original, reconstructed) ** 2)))
 
 
 def compression_ratio(reference_count: int, candidate_count: int) -> float:
@@ -115,7 +109,7 @@ def compression_ratio(reference_count: int, candidate_count: int) -> float:
     return reference_count / candidate_count
 
 
-def _pooled_score(segments: Sequence[Segment], streams: Sequence[ReadingStream]) -> tuple[float, int]:
+def _pooled_score(segments: Sequence[PowerTrace], streams: Sequence[ReadingStream]) -> tuple[float, int]:
     """NMAE pooled across segments (numerators and denominators summed
     before the division) plus the total message count."""
     numerator = denominator = 0.0
@@ -131,7 +125,7 @@ def _pooled_score(segments: Sequence[Segment], streams: Sequence[ReadingStream])
 
 
 def run_sweep(
-    segments: Sequence[Segment],
+    segments: Sequence[PowerTrace],
     dt_list: Sequence[int],
     p_list: Sequence[float],
     e_list: Sequence[float],
@@ -155,9 +149,8 @@ def run_sweep(
         raise ValueError("dt_list must be non-empty")
     if stats is None:
         stats = trace_stats(merge_segments(segments))
-    reference_count = sum(
-        message_count(sample_time_based(s, COMPRESSION_REFERENCE_DT)) for s in segments
-    )
+    # the reference meter sends one message per window, partial or not
+    reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
     time_rows = []
     for dt in dt_values:

@@ -1,13 +1,14 @@
 """Metering strategies: periodic window averaging and send-on-delta events.
 
-Both strategies turn a Segment into a ReadingStream. Streams open with a
-zero-energy "initial" reading at the segment start (the receiver's baseline,
-not a transmitted message) and close at the segment's exclusive end, so the
-energies of any stream always sum to the segment's energy.
+Both strategies turn a segment (a PowerTrace) into a ReadingStream.
+Streams open with a zero-energy "initial" reading at the segment start (the
+receiver's baseline, not a transmitted message) and close at the segment's
+exclusive end, so the energies of any stream always sum to the segment's
+energy.
 
 Energies ride in watt-seconds internally: a 1 Hz integrator's native unit,
-which keeps window sums and reconstruction exact. Use MeterReading.energy_wh
-at presentation boundaries.
+which keeps window sums and reconstruction exact. Divide by
+SECONDS_PER_HOUR at presentation boundaries.
 """
 from __future__ import annotations
 
@@ -16,45 +17,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from .thresholds import Thresholds
-from .trace import SECONDS_PER_HOUR, Segment
+from .trace import SECONDS_PER_HOUR, PowerTrace
 
 TRIGGERS = ("initial", "power_delta", "energy", "silence", "window", "final")
+INITIAL, POWER_DELTA, ENERGY, SILENCE, WINDOW, FINAL = range(len(TRIGGERS))
 
 
-@dataclass(frozen=True)
-class MeterReading:
-    """One transmitted message.
+@dataclass(frozen=True, eq=False)
+class ReadingStream:
+    """Ordered readings produced from one segment by one strategy.
 
-    energy_ws is the energy accumulated since the previous reading (zero for
-    the initial baseline); power_w is the instantaneous power at the reading
-    time under the left-hold convention.
+    Reading i was sent at timestamps[i] because of TRIGGERS[triggers[i]].
+    energy_ws[i] is the energy accumulated since reading i - 1 (zero for the
+    initial baseline); power_w[i] is the instantaneous power at that time
+    under the left-hold convention. The arrays are frozen after
+    construction.
     """
 
-    timestamp: int
-    trigger: str
-    energy_ws: float
-    power_w: float
-
-    @property
-    def energy_wh(self) -> float:
-        return self.energy_ws / SECONDS_PER_HOUR
-
-
-@dataclass(frozen=True)
-class ReadingStream:
-    """Ordered readings produced from one segment by one strategy."""
-
-    readings: tuple[MeterReading, ...]
+    timestamps: np.ndarray
+    triggers: np.ndarray
+    energy_ws: np.ndarray
+    power_w: np.ndarray
     strategy: str
     segment_start: int
     segment_end: int
 
+    def __post_init__(self):
+        for name, dtype in (
+            ("timestamps", np.int64),
+            ("triggers", np.uint8),
+            ("energy_ws", np.float64),
+            ("power_w", np.float64),
+        ):
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
     @property
     def total_energy_ws(self) -> float:
-        return sum(r.energy_ws for r in self.readings)
+        return float(self.energy_ws.sum())
 
 
-def sample_time_based(segment: Segment, delta_t: int) -> ReadingStream:
+def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     """Periodic metering: one reading at the end of every delta_t window.
 
     Windows tile the segment from its start. Full windows emit "window"
@@ -72,22 +76,19 @@ def sample_time_based(segment: Segment, delta_t: int) -> ReadingStream:
     edges = np.arange(start + delta_t, end + delta_t, delta_t, dtype=np.int64)
     if edges[-1] > end:
         edges[-1] = end
-    bounds = np.searchsorted(ts, np.concatenate(([start], edges)))
+    stamps = np.concatenate(([start], edges))
+    bounds = np.searchsorted(ts, stamps)
     # cumulative-sum differences telescope, so the stream conserves energy
     # exactly even when individual windows are empty
     csum = np.concatenate(([0.0], np.cumsum(pw * float(segment.nominal_resolution))))
-    energies = csum[bounds[1:]] - csum[bounds[:-1]]
-    power_idx = np.searchsorted(ts, edges, side="right") - 1
-    powers_at = pw[power_idx]
-
-    readings = [MeterReading(start, "initial", 0.0, float(pw[0]))]
-    for edge, e_ws, p in zip(edges.tolist(), energies.tolist(), powers_at.tolist()):
-        trigger = "window" if (edge - start) % delta_t == 0 else "final"
-        readings.append(MeterReading(int(edge), trigger, float(e_ws), float(p)))
-    return ReadingStream(tuple(readings), f"time:dt={delta_t}", start, end)
+    energies = np.concatenate(([0.0], csum[bounds[1:]] - csum[bounds[:-1]]))
+    powers_at = pw[np.searchsorted(ts, stamps, side="right") - 1]
+    triggers = np.where((stamps - start) % delta_t == 0, WINDOW, FINAL)
+    triggers[0] = INITIAL
+    return ReadingStream(stamps, triggers, energies, powers_at, f"time:dt={delta_t}", start, end)
 
 
-def sample_event_based(segment: Segment, th: Thresholds) -> ReadingStream:
+def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     """Send-on-delta metering over one segment.
 
     Sequential scan carrying three state variables: the time and power of
@@ -112,30 +113,36 @@ def sample_event_based(segment: Segment, th: Thresholds) -> ReadingStream:
     energy_ws = th.energy_wh * SECONDS_PER_HOUR  # inf stays inf
     silence = th.max_silence_s
 
-    readings = [MeterReading(start, "initial", 0.0, pw[0])]
+    stamps, triggers, energies, powers = [start], [INITIAL], [0.0], [pw[0]]
     t_last, p_ref, acc = start, pw[0], 0.0
     for i in range(1, len(ts)):
         t = ts[i]
         p = pw[i]
         acc += pw[i - 1] * hold
         if abs(p - p_ref) >= power_delta_w:
-            trigger = "power_delta"
+            trigger = POWER_DELTA
         elif acc >= energy_ws:
-            trigger = "energy"
+            trigger = ENERGY
         elif silence is not None and t - t_last >= silence:
-            trigger = "silence"
+            trigger = SILENCE
         else:
             continue
-        readings.append(MeterReading(t, trigger, acc, p))
+        stamps.append(t)
+        triggers.append(trigger)
+        energies.append(acc)
+        powers.append(p)
         t_last, p_ref, acc = t, p, 0.0
     acc += pw[-1] * hold
-    readings.append(MeterReading(end, "final", acc, pw[-1]))
+    stamps.append(end)
+    triggers.append(FINAL)
+    energies.append(acc)
+    powers.append(pw[-1])
 
     strategy = f"event:dp={power_delta_w},e_wh={th.energy_wh},silence={silence}"
-    return ReadingStream(tuple(readings), strategy, start, end)
+    return ReadingStream(stamps, triggers, energies, powers, strategy, start, end)
 
 
 def message_count(stream: ReadingStream) -> int:
     """Number of transmitted messages: every reading except the initial
     baseline, which both strategies share and neither transmits."""
-    return sum(1 for r in stream.readings if r.trigger != "initial")
+    return len(stream.timestamps) - 1

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     NegativePowerError,
     NonFiniteError,
+    TimestampRangeError,
 )
 
 log = logging.getLogger(__name__)
@@ -74,6 +75,14 @@ class PowerTrace:
         return self.end - self.start
 
     @property
+    def total_energy_ws(self) -> float:
+        return float(self.powers.sum()) * self.nominal_resolution
+
+    @property
+    def total_energy_wh(self) -> float:
+        return self.total_energy_ws / SECONDS_PER_HOUR
+
+    @property
     def samples(self) -> list[tuple[int, float]]:
         return list(zip(self.timestamps.tolist(), self.powers.tolist()))
 
@@ -93,46 +102,6 @@ class TraceStats:
     coverage: float
     duration_s: int
     gap_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Contiguous run of samples whose internal gaps never exceed the
-    segmentation limit. Covers [start, end) with end exclusive."""
-
-    timestamps: np.ndarray
-    powers: np.ndarray
-    nominal_resolution: int = 1
-
-    def __post_init__(self):
-        self.timestamps.setflags(write=False)
-        self.powers.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
-
-    @property
-    def start(self) -> int:
-        return int(self.timestamps[0])
-
-    @property
-    def end(self) -> int:
-        return int(self.timestamps[-1]) + self.nominal_resolution
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
-    @property
-    def total_energy_ws(self) -> float:
-        return float(self.powers.sum()) * self.nominal_resolution
-
-    @property
-    def total_energy_wh(self) -> float:
-        return self.total_energy_ws / SECONDS_PER_HOUR
-
-    def to_trace(self) -> PowerTrace:
-        return PowerTrace(self.timestamps, self.powers, self.nominal_resolution)
 
 
 class DiffDistribution(NamedTuple):
@@ -157,6 +126,7 @@ def validate_trace(raw: Iterable[tuple[float, float]]) -> PowerTrace:
     Raises:
         EmptyInputError: raw contains no samples.
         NonFiniteError: any timestamp or power is NaN or infinite.
+        TimestampRangeError: any timestamp falls outside the int64 range.
         NegativePowerError: any power is below zero.
     """
     arr = raw if isinstance(raw, np.ndarray) else np.asarray(list(raw), dtype=np.float64)
@@ -173,6 +143,11 @@ def validate_trace(raw: Iterable[tuple[float, float]]) -> PowerTrace:
     if negative.any():
         row = int(np.flatnonzero(negative)[0])
         raise NegativePowerError(int(arr[row, 0]), float(arr[row, 1]))
+    # the int64 cast maps out-of-range values to INT64_MIN, which would then
+    # collapse as duplicates; [-2**63, 2**63) truncates into range
+    out_of_range = (arr[:, 0] < -(2.0**63)) | (arr[:, 0] >= 2.0**63)
+    if out_of_range.any():
+        raise TimestampRangeError(float(arr[np.flatnonzero(out_of_range)[0], 0]))
     ts = arr[:, 0].astype(np.int64)
     pw = arr[:, 1].copy()
     order = np.argsort(ts, kind="stable")
@@ -198,7 +173,7 @@ def trace_stats(trace: PowerTrace) -> TraceStats:
         peak_variation = float(np.abs(np.diff(trace.powers))[adjacent].max())
     else:
         peak_variation = 0.0
-    total_energy_wh = float(trace.powers.sum()) * trace.nominal_resolution / SECONDS_PER_HOUR
+    total_energy_wh = trace.total_energy_wh
     duration = trace.duration
     return TraceStats(
         peak_power_w=float(trace.powers.max()),
@@ -211,20 +186,21 @@ def trace_stats(trace: PowerTrace) -> TraceStats:
     )
 
 
-def segment_trace(trace: PowerTrace, max_gap: int) -> list[Segment]:
+def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
     """Split the trace wherever consecutive timestamps differ by more than
-    max_gap seconds. The segments partition the samples in order."""
+    max_gap seconds. The segments are traces that partition the samples in
+    order; each covers [start, end) with end exclusive."""
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
     cuts = np.flatnonzero(np.diff(trace.timestamps) > max_gap) + 1
     bounds = [0, *cuts.tolist(), len(trace)]
     return [
-        Segment(trace.timestamps[a:b], trace.powers[a:b], trace.nominal_resolution)
+        PowerTrace(trace.timestamps[a:b], trace.powers[a:b], trace.nominal_resolution)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
 
-def merge_segments(segments: Sequence[Segment]) -> PowerTrace:
+def merge_segments(segments: Sequence[PowerTrace]) -> PowerTrace:
     """Reassemble ordered segments into the trace they partition."""
     if not segments:
         raise EmptyInputError("no segments")

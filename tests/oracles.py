@@ -114,5 +114,16 @@ def brute_force_time_readings(timestamps, powers, delta_t):
 
 
 def stream_tuples(stream):
-    """Flatten a ReadingStream for comparison against oracle output."""
-    return [(r.timestamp, r.trigger, r.energy_ws, r.power_w) for r in stream.readings]
+    """Flatten a ReadingStream's columns into (timestamp, trigger,
+    energy_ws, power_w) tuples for comparison against oracle output."""
+    # imported here so that the generators above need only numpy
+    from meterdelta.sampler import TRIGGERS
+
+    return list(
+        zip(
+            stream.timestamps.tolist(),
+            [TRIGGERS[code] for code in stream.triggers.tolist()],
+            stream.energy_ws.tolist(),
+            stream.power_w.tolist(),
+        )
+    )

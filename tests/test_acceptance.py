@@ -108,7 +108,7 @@ def test_criterion_2_energy_conservation():
             stream = sample_time_based(seg, dt)
             assert stream.total_energy_ws == pytest.approx(total, rel=1e-9)
             checked += 1
-        stats = trace_stats(seg.to_trace())
+        stats = trace_stats(seg)
         if stats.peak_variation_w > 0:
             grid = threshold_grid(
                 stats, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID, ThresholdSpec()
@@ -189,9 +189,9 @@ def test_criterion_6_threshold_monotonicity_and_degenerate_limits():
     for _ in range(10):
         seg = one_segment(random_step_trace(rng, length=500))
         no_power = sample_event_based(seg, Thresholds(math.inf, 15.0, max_silence_s=120))
-        assert "power_delta" not in {r.trigger for r in no_power.readings}
+        assert "power_delta" not in {trig for _, trig, _, _ in stream_tuples(no_power)}
         no_energy = sample_event_based(seg, Thresholds(120.0, math.inf, max_silence_s=120))
-        assert "energy" not in {r.trigger for r in no_energy.readings}
+        assert "energy" not in {trig for _, trig, _, _ in stream_tuples(no_energy)}
     _ok(6, "strictly increasing thresholds; infinite limits never fire their trigger")
 
 

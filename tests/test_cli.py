@@ -65,6 +65,20 @@ def test_stats_parse_error_exits_1(tmp_path, capsys):
     assert main(["stats", "--input", str(f)]) == 1
 
 
+def test_timestamp_outside_int64_exits_1(tmp_path, capsys):
+    f = tmp_path / "huge.dat"
+    f.write_text(f"{2**63 + 10} 1.0\n{2**64} 2.0\n5 3.0\n")
+    assert main(["stats", "--input", str(f)]) == 1
+    assert "error: timestamp 9223372036854775808" in capsys.readouterr().err
+
+
+def test_empty_delimiter_exits_2(tmp_path, capsys):
+    f = tmp_path / "data.csv"
+    f.write_text("timestamp,power\n0,100\n")
+    assert main(["stats", "--input", str(f), "--format", "csv", "--delimiter", ""]) == 2
+    assert "error: --delimiter" in capsys.readouterr().err
+
+
 def test_tolerant_flag_recovers(tmp_path, capsys):
     f = tmp_path / "bad.dat"
     f.write_text("0 100\nnot a line\n1 100\n")
@@ -126,6 +140,12 @@ def test_sample_event_derives_thresholds_when_unset(trace_a_file, capsys):
 
 def test_sample_time_requires_delta_t(trace_a_file, capsys):
     assert main(["sample", "--input", str(trace_a_file), "--strategy", "time"]) == 2
+    for bad in ("0", "-5"):
+        code = main(
+            ["sample", "--input", str(trace_a_file), "--strategy", "time", "--delta-t", bad]
+        )
+        assert code == 2
+        assert "error: time strategy needs --delta-t" in capsys.readouterr().err
 
 
 def test_sample_silence_only(trace_a_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 from meterdelta import (
     DEFAULT_DT_GRID,
     DEFAULT_PERCENT_GRID,
+    PowerTrace,
     ThresholdSpec,
     Thresholds,
     compression_ratio,
@@ -28,7 +29,7 @@ from meterdelta.errors import (
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
-from oracles import random_step_trace, random_thresholds
+from oracles import random_gappy_trace, random_step_trace, random_thresholds
 
 
 def one_segment(samples):
@@ -54,7 +55,7 @@ def test_reconstruct_single_interval_average(segment_a):
 
 def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     stream = sample_time_based(constant_segment, 2)
-    shifted = one_segment([(t + 1, p) for t, p in segment_a.to_trace().samples])
+    shifted = one_segment([(t + 1, p) for t, p in segment_a.samples])
     with pytest.raises(MismatchedSegmentError):
         reconstruct(stream, shifted)
 
@@ -86,9 +87,7 @@ def test_nmae_hand_value():
 
 
 def test_nmae_all_zero_reconstruction_is_one(segment_a):
-    from meterdelta.evaluate import ReconstructedTrace
-
-    zero = ReconstructedTrace(segment_a.timestamps, np.zeros(len(segment_a)))
+    zero = PowerTrace(segment_a.timestamps, np.zeros(len(segment_a)))
     assert nmae(segment_a, zero) == 1.0
 
 
@@ -101,7 +100,7 @@ def test_nmae_zero_energy_segment_rejected():
 
 def test_nmae_grid_mismatch_rejected(segment_a, constant_segment):
     recon = reconstruct(sample_time_based(segment_a, 2), segment_a)
-    shifted = one_segment([(t + 1, p) for t, p in constant_segment.to_trace().samples])
+    shifted = one_segment([(t + 1, p) for t, p in constant_segment.samples])
     with pytest.raises(MismatchedSegmentError):
         nmae(shifted, recon)
 
@@ -110,10 +109,10 @@ def test_nmae_invariant_under_uniform_rescaling(segment_a):
     stream = sample_time_based(segment_a, 3)
     base = nmae(segment_a, reconstruct(stream, segment_a))
     for k in (2.0, 0.5):
-        seg_k = one_segment([(t, p * k) for t, p in segment_a.to_trace().samples])
+        seg_k = one_segment([(t, p * k) for t, p in segment_a.samples])
         value = nmae(seg_k, reconstruct(sample_time_based(seg_k, 3), seg_k))
         assert value == base
-    seg_3 = one_segment([(t, p * 3.0) for t, p in segment_a.to_trace().samples])
+    seg_3 = one_segment([(t, p * 3.0) for t, p in segment_a.samples])
     value = nmae(seg_3, reconstruct(sample_time_based(seg_3, 3), seg_3))
     assert value == pytest.approx(base, rel=1e-12)
 
@@ -123,11 +122,11 @@ def test_time_based_nmae_matches_direct_window_average(segment_a):
         stream = sample_time_based(segment_a, dt)
         recon = reconstruct(stream, segment_a)
         direct = np.empty(len(segment_a))
-        readings = stream.readings
-        for prev, cur in zip(readings, readings[1:]):
-            width = cur.timestamp - prev.timestamp
-            mask = (segment_a.timestamps >= prev.timestamp) & (segment_a.timestamps < cur.timestamp)
-            direct[mask] = cur.energy_ws / width
+        ts = stream.timestamps.tolist()
+        for prev_t, cur_t, cur_e in zip(ts, ts[1:], stream.energy_ws[1:].tolist()):
+            width = cur_t - prev_t
+            mask = (segment_a.timestamps >= prev_t) & (segment_a.timestamps < cur_t)
+            direct[mask] = cur_e / width
         assert np.array_equal(recon.powers, direct)
 
 
@@ -237,7 +236,10 @@ def test_run_sweep_rejects_empty_grids():
 
 
 def test_run_sweep_compression_reference_present_even_without_dt10():
-    segments, _ = sweep_fixture_segments()
+    rng = np.random.default_rng(1808)
+    samples = random_gappy_trace(rng, length=1500, gap_chance=0.004, max_gap=400)
+    segments = segment_trace(validate_trace(samples), max_gap=60)
+    assert len(segments) >= 3 and all(s.duration % 10 for s in segments)
     result = run_sweep(segments, [60], [1], [1], ThresholdSpec())
     ref = sum(message_count(sample_time_based(s, 10)) for s in segments)
     row = result.time_based[0]

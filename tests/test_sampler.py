@@ -11,6 +11,7 @@ from meterdelta import (
     segment_trace,
     validate_trace,
 )
+from meterdelta.sampler import TRIGGERS
 from oracles import (
     brute_force_event_readings,
     brute_force_time_readings,
@@ -40,7 +41,7 @@ def test_time_based_trace_a_dt2(segment_a):
 
 def test_time_based_dt1_reproduces_samples(segment_a):
     stream = sample_time_based(segment_a, 1)
-    energies = [r.energy_ws for r in stream.readings[1:]]
+    energies = stream.energy_ws[1:].tolist()
     assert energies == segment_a.powers.tolist()
 
 
@@ -52,7 +53,7 @@ def test_time_based_dt10_single_window(segment_a):
 
 def test_time_based_partial_window_is_final(segment_a):
     stream = sample_time_based(segment_a, 3)
-    assert [(r.timestamp, r.trigger, r.energy_ws) for r in stream.readings[1:]] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)[1:]] == [
         (3, "window", 300.0),
         (6, "window", 1100.0),
         (9, "window", 300.0),
@@ -114,7 +115,7 @@ def test_event_energy_triggers(constant_segment):
     # 250 Ws expressed in Wh; each reading fires once 300 Ws accumulate
     th = Thresholds(math.inf, 250.0 / 3600.0)
     stream = sample_event_based(constant_segment, th)
-    assert [(r.timestamp, r.trigger, r.energy_ws) for r in stream.readings] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)] == [
         (0, "initial", 0.0),
         (3, "energy", 300.0),
         (6, "energy", 300.0),
@@ -125,8 +126,8 @@ def test_event_energy_triggers(constant_segment):
 
 def test_event_no_reachable_trigger_gives_initial_and_final(constant_segment):
     stream = sample_event_based(constant_segment, Thresholds(1e12, 1e12))
-    assert [r.trigger for r in stream.readings] == ["initial", "final"]
-    assert stream.readings[-1].energy_ws == 1000.0
+    assert [TRIGGERS[c] for c in stream.triggers.tolist()] == ["initial", "final"]
+    assert stream.energy_ws[-1] == 1000.0
     assert message_count(stream) == 1
 
 
@@ -134,7 +135,7 @@ def test_event_silence_trigger():
     seg = one_segment([(t, 100.0) for t in range(20)])
     th = Thresholds(math.inf, math.inf, max_silence_s=5)
     stream = sample_event_based(seg, th)
-    assert [(r.timestamp, r.trigger, r.energy_ws) for r in stream.readings] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)] == [
         (0, "initial", 0.0),
         (5, "silence", 500.0),
         (10, "silence", 500.0),
@@ -157,8 +158,8 @@ def test_event_power_delta_has_priority_over_energy():
     # both conditions hold at t=2; the label must say power_delta
     th = Thresholds(400.0, 150.0 / 3600.0)
     stream = sample_event_based(seg, th)
-    assert stream.readings[1].trigger == "power_delta"
-    assert stream.readings[1].timestamp == 2
+    assert TRIGGERS[stream.triggers[1]] == "power_delta"
+    assert stream.timestamps[1] == 2
 
 
 def test_event_matches_brute_force_oracle():
@@ -192,7 +193,7 @@ def test_infinite_power_delta_never_fires_power_trigger():
     for _ in range(10):
         seg = one_segment(random_step_trace(rng, length=300))
         stream = sample_event_based(seg, Thresholds(math.inf, 20.0))
-        assert {r.trigger for r in stream.readings} <= {"initial", "energy", "final"}
+        assert {TRIGGERS[c] for c in stream.triggers.tolist()} <= {"initial", "energy", "final"}
 
 
 def test_infinite_energy_never_fires_energy_trigger():
@@ -200,7 +201,9 @@ def test_infinite_energy_never_fires_energy_trigger():
     for _ in range(10):
         seg = one_segment(random_step_trace(rng, length=300))
         stream = sample_event_based(seg, Thresholds(100.0, math.inf, max_silence_s=60))
-        assert {r.trigger for r in stream.readings} <= {"initial", "power_delta", "silence", "final"}
+        assert {TRIGGERS[c] for c in stream.triggers.tolist()} <= {
+            "initial", "power_delta", "silence", "final"
+        }
 
 
 def test_energy_conservation_over_strategies():
@@ -235,16 +238,19 @@ def test_readings_strictly_increasing_in_time():
         sample_time_based(seg, 13),
         sample_event_based(seg, Thresholds(50.0, 5.0, max_silence_s=30)),
     ):
-        ts = [r.timestamp for r in stream.readings]
+        ts = stream.timestamps.tolist()
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        assert stream.readings[0].trigger == "initial"
-        assert stream.readings[-1].trigger in ("final", "window")
+        assert TRIGGERS[stream.triggers[0]] == "initial"
+        assert TRIGGERS[stream.triggers[-1]] in ("final", "window")
+        columns = (stream.timestamps, stream.triggers, stream.energy_ws, stream.power_w)
+        assert [c.dtype for c in columns] == [np.int64, np.uint8, np.float64, np.float64]
+        assert not any(c.flags.writeable for c in columns)
 
 
 def test_single_sample_segment_flushes_its_energy():
     seg = one_segment([(5, 100.0)])
     for stream in (sample_time_based(seg, 5), sample_event_based(seg, Thresholds(1.0, 1.0))):
-        assert [r.trigger for r in stream.readings] == ["initial", "final"]
-        assert stream.readings[-1].timestamp == 6
+        assert [TRIGGERS[c] for c in stream.triggers.tolist()] == ["initial", "final"]
+        assert stream.timestamps[-1] == 6
         assert stream.total_energy_ws == 100.0
         assert message_count(stream) == 1

@@ -17,6 +17,7 @@ from meterdelta.errors import (
     EmptyInputError,
     NegativePowerError,
     NonFiniteError,
+    TimestampRangeError,
 )
 from oracles import random_gappy_trace, random_step_trace
 
@@ -72,6 +73,15 @@ def test_validate_non_finite():
         validate_trace([(0, float("nan"))])
     with pytest.raises(NonFiniteError):
         validate_trace([(0, float("inf"))])
+
+
+def test_validate_rejects_timestamps_outside_int64():
+    # the int64 cast would turn both large timestamps into INT64_MIN and
+    # collapse them as duplicates
+    with pytest.raises(TimestampRangeError) as err:
+        validate_trace([(2**63 + 10, 1.0), (2**64, 2.0), (5, 3.0)])
+    assert err.value.timestamp == 2.0**63
+    assert "9223372036854775808" in str(err.value)
 
 
 def test_stats_trace_a(trace_a):
@@ -169,7 +179,7 @@ def test_peak_variation_is_max_over_segments():
     expected = trace_stats(trace).peak_variation_w
     for max_gap in (1, 5, 50):
         segments = segment_trace(trace, max_gap)
-        assert max(trace_stats(s.to_trace()).peak_variation_w for s in segments) == expected
+        assert max(trace_stats(s).peak_variation_w for s in segments) == expected
 
 
 def test_diffdist_trace_a(trace_a):
