@@ -22,7 +22,7 @@ class TimestampRangeError(MeterDeltaError):
     """A timestamp does not fit the signed 64-bit epoch-seconds range."""
 
     def __init__(self, timestamp):
-        super().__init__(f"timestamp {timestamp:.0f} is outside the int64 range")
+        super().__init__(f"timestamp {timestamp} is outside the int64 range")
         self.timestamp = timestamp
 
 

@@ -2,25 +2,30 @@
 
 Two formats are supported: the space-separated channel files used by public
 residential datasets ("<epoch seconds> <watts>", one sample per line) and
-generic delimited CSV with a header row. Loaders return raw (timestamp,
-power) pairs in file order; validation into a PowerTrace happens separately.
+generic delimited CSV with a header row. Loaders return a SAMPLE_DTYPE array
+(int64 timestamps, float64 watts) in file order; validation into a
+PowerTrace happens separately.
 """
 from __future__ import annotations
 
 import io
 import csv
+import functools
 import logging
 import math
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyInputError, MissingColumnError, ParseError
+import numpy as np
+
+from .errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
+from .trace import _as_samples, _last_value_wins, _sample_array
 
 log = logging.getLogger(__name__)
 
-Sample = tuple[int, float]
-
-MAINS_MODES = ("sum", "first", "second")
+# channel numbers read by each mains mode
+MAINS_MODES = {"sum": (1, 2), "first": (1,), "second": (2,)}
 
 
 def _as_lines(source) -> Iterator[str]:
@@ -35,42 +40,45 @@ def _as_lines(source) -> Iterator[str]:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
-def _summarize(line_numbers: list[int], limit: int = 10) -> str:
-    shown = ", ".join(str(n) for n in line_numbers[:limit])
-    extra = len(line_numbers) - limit
-    return shown if extra <= 0 else f"{shown} (+{extra} more)"
-
-
-def load_redd_channel(source, *, tolerant: bool = False) -> list[Sample]:
-    """Parse "<epoch seconds> <watts>" lines into (timestamp, power) pairs.
-
-    Strict mode raises ParseError at the first malformed line. Tolerant mode
-    skips malformed lines and logs their line numbers. CRLF endings are
-    accepted.
-    """
-    samples: list[Sample] = []
+def _collect(numbered, parse, tolerant: bool, unit: str) -> np.ndarray:
+    """Parse the non-empty items of (number, item) pairs into a SAMPLE_DTYPE
+    array, raising at the first malformed item or, if tolerant, logging them."""
+    timestamps: list[int] = []
+    powers: list[float] = []
     rejected: list[int] = []
-    for line_no, line in enumerate(_as_lines(source), start=1):
-        text = line.strip()
-        if not text:
+    for number, item in numbered:
+        if not item:
             continue
         try:
-            samples.append(_parse_channel_line(line_no, text))
+            t, p = parse(number, item)
         except ParseError:
             if not tolerant:
                 raise
-            rejected.append(line_no)
+            rejected.append(number)
+        else:
+            timestamps.append(t)
+            powers.append(p)
     if rejected:
-        log.warning(
-            "skipped %d unparseable lines: %s", len(rejected), _summarize(rejected)
-        )
-    if not samples:
+        more = f" (+{len(rejected) - 10} more)" if len(rejected) > 10 else ""
+        shown = ", ".join(map(str, rejected[:10])) + more
+        log.warning("skipped %d unparseable %s: %s", len(rejected), unit, shown)
+    if not timestamps:
         raise EmptyInputError("no parseable samples in input")
-    return samples
+    return _sample_array(timestamps, powers)
 
 
-def _parse_channel_line(line_no: int, text: str) -> Sample:
-    tokens = text.split()
+def load_redd_channel(source, *, tolerant: bool = False) -> np.ndarray:
+    """Parse "<epoch seconds> <watts>" lines into a SAMPLE_DTYPE array.
+
+    Strict mode raises ParseError at the first malformed line. Tolerant mode
+    skips malformed lines and logs their line numbers. Blank lines are
+    skipped; CRLF endings are accepted.
+    """
+    lines = (line.split() for line in _as_lines(source))
+    return _collect(enumerate(lines, start=1), _parse_channel_line, tolerant, "lines")
+
+
+def _parse_channel_line(line_no: int, tokens: list[str]) -> tuple[int, float]:
     if len(tokens) != 2:
         raise ParseError(line_no, f"expected 2 fields, got {len(tokens)}")
     try:
@@ -86,18 +94,13 @@ def _parse_channel_line(line_no: int, text: str) -> Sample:
     return timestamp, power
 
 
-def dump_redd_channel(samples: Iterable[Sample], target) -> None:
+def dump_redd_channel(samples: np.ndarray | Iterable[tuple[int, float]], target) -> None:
     """Write samples in the channel line format (round-trips exactly)."""
+    text = "".join(f"{int(t)} {float(p)!r}\n" for t, p in samples)
     if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write_channel_lines(samples, fh)
+        Path(target).write_text(text, encoding="utf-8", newline="")
     else:
-        _write_channel_lines(samples, target)
-
-
-def _write_channel_lines(samples, fh) -> None:
-    for t, p in samples:
-        fh.write(f"{int(t)} {p!r}\n")
+        target.write(text)
 
 
 def load_csv(
@@ -107,7 +110,7 @@ def load_csv(
     *,
     delimiter: str = ",",
     tolerant: bool = False,
-) -> list[Sample]:
+) -> np.ndarray:
     """Parse a delimited text file with a header row naming the columns.
 
     Extra columns are ignored; rows missing either selected column fail.
@@ -125,33 +128,22 @@ def load_csv(
     t_idx = names.index(timestamp_col)
     p_idx = names.index(power_col)
 
-    samples: list[Sample] = []
-    rejected: list[int] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            samples.append(_parse_csv_row(row_no, row, t_idx, p_idx))
-        except ParseError:
-            if not tolerant:
-                raise
-            rejected.append(row_no)
-    if rejected:
-        log.warning("skipped %d unparseable rows: %s", len(rejected), _summarize(rejected))
-    if not samples:
-        raise EmptyInputError("no parseable samples in input")
-    return samples
+    parse = functools.partial(_parse_csv_row, t_idx=t_idx, p_idx=p_idx)
+    return _collect(enumerate(reader, start=2), parse, tolerant, "rows")
 
 
-def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> Sample:
+def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> tuple[int, float]:
     if len(row) <= max(t_idx, p_idx):
         raise ParseError(row_no, f"row has {len(row)} fields, need {max(t_idx, p_idx) + 1}")
     try:
-        raw_t = float(row[t_idx])
-    except ValueError:
+        raw_t = Decimal(row[t_idx])
+    except InvalidOperation:
         raise ParseError(row_no, f"non-numeric timestamp {row[t_idx]!r}") from None
-    if not math.isfinite(raw_t):
+    if not raw_t.is_finite():
         raise ParseError(row_no, f"non-finite timestamp {row[t_idx]!r}")
+    # checked before int(), which would expand a huge exponent digit by digit
+    if not -(2**63) <= raw_t < 2**63:
+        raise TimestampRangeError(raw_t)
     try:
         power = float(row[p_idx])
     except ValueError:
@@ -161,25 +153,28 @@ def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> Sampl
     return int(raw_t), power
 
 
-def combine_mains(channels: Sequence[Sequence[Sample]]) -> list[Sample]:
+def combine_mains(channels: Sequence) -> np.ndarray:
     """Sum channels per timestamp, keeping only timestamps present in all.
 
     A missing reading on either mains leg means the house total is unknown
     for that second; filling with zero would corrupt the peak statistics, so
-    intersection semantics are deliberate. Within a channel, duplicate
-    timestamps keep the last value.
+    intersection semantics are deliberate (and logged). Within a channel,
+    duplicate timestamps keep the last value.
     """
     if not channels:
         raise EmptyInputError("need at least one channel")
-    maps = [{int(t): float(p) for t, p in ch} for ch in channels]
-    common = set(maps[0])
-    for m in maps[1:]:
-        common &= set(m)
-    # fsum is exactly rounded, so the result is independent of channel order
-    return [(t, math.fsum(m[t] for m in maps)) for t in sorted(common)]
+    legs = [_last_value_wins(_as_samples(ch)) for ch in channels]
+    intersect = functools.partial(np.intersect1d, assume_unique=True)  # legs are unique
+    common = functools.reduce(intersect, [leg["timestamp"] for leg in legs])
+    dropped = [leg.size - common.size for leg in legs]
+    if any(dropped):
+        log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)
+    # sorting makes the sum independent of channel order; two channels give a + b
+    powers = np.sort([leg["power"][np.searchsorted(leg["timestamp"], common)] for leg in legs], 0)
+    return _sample_array(common, powers.sum(axis=0))
 
 
-def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) -> list[Sample]:
+def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) -> np.ndarray:
     """Load a house's mains from a dataset directory.
 
     The directory must contain channel_1.dat and channel_2.dat (the two
@@ -187,15 +182,7 @@ def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) ->
     intersection), "first" or "second" (single leg).
     """
     if mains not in MAINS_MODES:
-        raise ValueError(f"mains must be one of {MAINS_MODES}, got {mains!r}")
-    d = Path(house_dir)
-    if mains == "first":
-        return load_redd_channel(d / "channel_1.dat", tolerant=tolerant)
-    if mains == "second":
-        return load_redd_channel(d / "channel_2.dat", tolerant=tolerant)
-    return combine_mains(
-        [
-            load_redd_channel(d / "channel_1.dat", tolerant=tolerant),
-            load_redd_channel(d / "channel_2.dat", tolerant=tolerant),
-        ]
-    )
+        raise ValueError(f"mains must be one of {tuple(MAINS_MODES)}, got {mains!r}")
+    paths = [Path(house_dir) / f"channel_{n}.dat" for n in MAINS_MODES[mains]]
+    legs = [load_redd_channel(path, tolerant=tolerant) for path in paths]
+    return legs[0] if mains != "sum" else combine_mains(legs)

@@ -10,6 +10,7 @@ artificial power spikes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,6 +28,9 @@ log = logging.getLogger(__name__)
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
+
+# raw samples, as loaded from a file: int64 epoch seconds, float64 watts
+SAMPLE_DTYPE = np.dtype([("timestamp", np.int64), ("power", np.float64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +120,44 @@ class DiffDistribution(NamedTuple):
     normalized_delta: np.ndarray
 
 
-def validate_trace(raw: Iterable[tuple[float, float]]) -> PowerTrace:
-    """Turn raw (timestamp, power) pairs into a :class:`PowerTrace`.
+def _as_samples(raw) -> np.ndarray:
+    """raw as a SAMPLE_DTYPE array; a (t, p) pair becomes (int(t), p)."""
+    if isinstance(raw, np.ndarray) and raw.dtype == SAMPLE_DTYPE:
+        return raw
+    pairs = list(raw)
+    for t, _ in pairs:
+        if t != t or t in (math.inf, -math.inf):
+            raise NonFiniteError(t)
+    return _sample_array([int(t) for t, _ in pairs], [p for _, p in pairs])
 
-    Out-of-order input is sorted. Duplicate timestamps keep the value seen
-    last (a meter overwriting its own reading) and are logged as a warning.
-    Fractional timestamps are truncated toward zero onto the 1 s grid.
+
+def _sample_array(timestamps, powers) -> np.ndarray:
+    """Pack equal-length timestamp (Python int or int64) and power columns."""
+    samples = np.empty(len(timestamps), dtype=SAMPLE_DTYPE)
+    try:
+        samples["timestamp"] = timestamps
+    except OverflowError:
+        raise TimestampRangeError(next(t for t in timestamps if not -(2**63) <= t < 2**63)) from None
+    samples["power"] = powers
+    return samples
+
+
+def _last_value_wins(samples: np.ndarray) -> np.ndarray:
+    """Sort by timestamp, keeping the last of equal timestamps (a meter
+    overwriting its own reading): np.unique indexes first occurrences."""
+    reverse = samples[::-1]
+    _, last = np.unique(reverse["timestamp"], return_index=True)
+    if last.size < samples.size:
+        log.warning("collapsed %d duplicate timestamps (last value wins)", samples.size - last.size)
+    return reverse[last]
+
+
+def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrace:
+    """Turn raw samples into a :class:`PowerTrace`.
+
+    raw is a SAMPLE_DTYPE array or (timestamp, power) pairs: integer
+    timestamps are exact, fractional ones truncate toward zero. Input is
+    sorted; duplicate timestamps keep the value seen last, with a warning.
 
     Raises:
         EmptyInputError: raw contains no samples.
@@ -129,40 +165,17 @@ def validate_trace(raw: Iterable[tuple[float, float]]) -> PowerTrace:
         TimestampRangeError: any timestamp falls outside the int64 range.
         NegativePowerError: any power is below zero.
     """
-    arr = raw if isinstance(raw, np.ndarray) else np.asarray(list(raw), dtype=np.float64)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.size == 0:
+    samples = _as_samples(raw)
+    if samples.size == 0:
         raise EmptyInputError("no samples")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected a sequence of (timestamp, power) pairs")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise NonFiniteError(arr[row, 0])
-    negative = arr[:, 1] < 0
-    if negative.any():
-        row = int(np.flatnonzero(negative)[0])
-        raise NegativePowerError(int(arr[row, 0]), float(arr[row, 1]))
-    # the int64 cast maps out-of-range values to INT64_MIN, which would then
-    # collapse as duplicates; [-2**63, 2**63) truncates into range
-    out_of_range = (arr[:, 0] < -(2.0**63)) | (arr[:, 0] >= 2.0**63)
-    if out_of_range.any():
-        raise TimestampRangeError(float(arr[np.flatnonzero(out_of_range)[0], 0]))
-    ts = arr[:, 0].astype(np.int64)
-    pw = arr[:, 1].copy()
-    order = np.argsort(ts, kind="stable")
-    ts, pw = ts[order], pw[order]
-    if ts.size > 1:
-        # stable sort keeps input order within equal timestamps, so the last
-        # element of each run is the last occurrence in the raw input
-        keep = np.append(np.flatnonzero(ts[1:] != ts[:-1]), ts.size - 1)
-        if keep.size != ts.size:
-            log.warning(
-                "collapsed %d duplicate timestamps (last value wins)",
-                ts.size - keep.size,
-            )
-            ts, pw = ts[keep], pw[keep]
-    return PowerTrace(ts, pw)
+    ts, pw = samples["timestamp"], samples["power"]
+    if not np.isfinite(pw).all():
+        raise NonFiniteError(int(ts[np.argmin(np.isfinite(pw))]))
+    if (pw < 0).any():
+        row = int(np.argmax(pw < 0))
+        raise NegativePowerError(int(ts[row]), float(pw[row]))
+    samples = _last_value_wins(samples)
+    return PowerTrace(samples["timestamp"], samples["power"])
 
 
 def trace_stats(trace: PowerTrace) -> TraceStats:

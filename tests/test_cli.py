@@ -69,7 +69,23 @@ def test_timestamp_outside_int64_exits_1(tmp_path, capsys):
     f = tmp_path / "huge.dat"
     f.write_text(f"{2**63 + 10} 1.0\n{2**64} 2.0\n5 3.0\n")
     assert main(["stats", "--input", str(f)]) == 1
-    assert "error: timestamp 9223372036854775808" in capsys.readouterr().err
+    assert "error: timestamp 9223372036854775818" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fmt, text, duration, gaps",
+    [
+        ("redd", f"{2**53 + 1} 100\n{2**53 + 3} 100\n", 3, 1),
+        ("csv", f"timestamp,power\n{2**53 + 1},100\n{2**53 + 2},100\n", 2, 0),
+    ],
+)
+def test_stats_timestamps_above_2_53_are_exact(tmp_path, capsys, fmt, text, duration, gaps):
+    f = tmp_path / "big.dat"
+    f.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["stats", "--input", str(f), "--format", fmt, "--out", str(out_dir)]) == 0
+    row = (out_dir / "stats.csv").read_text().splitlines()[1].split(",")
+    assert row[-2:] == [str(duration), str(gaps)]
 
 
 def test_empty_delimiter_exits_2(tmp_path, capsys):

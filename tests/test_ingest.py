@@ -5,22 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterdelta import combine_mains, dump_redd_channel, load_csv, load_redd_channel, load_redd_house
-from meterdelta.errors import EmptyInputError, MissingColumnError, ParseError
+from meterdelta.errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
 
 
 def test_redd_basic(tmp_path):
     f = tmp_path / "channel_1.dat"
     f.write_text("1303132930 222.02\n1303132931 221.97\n")
-    assert load_redd_channel(f) == [(1303132930, 222.02), (1303132931, 221.97)]
+    assert load_redd_channel(f).tolist() == [(1303132930, 222.02), (1303132931, 221.97)]
 
 
 def test_redd_accepts_stream_and_crlf():
     stream = io.StringIO("0 1.5\r\n1 2.5\r\n")
-    assert load_redd_channel(stream) == [(0, 1.5), (1, 2.5)]
+    assert load_redd_channel(stream).tolist() == [(0, 1.5), (1, 2.5)]
 
 
 def test_redd_skips_blank_lines():
-    assert load_redd_channel(io.StringIO("0 1\n\n1 2\n")) == [(0, 1.0), (1, 2.0)]
+    assert load_redd_channel(io.StringIO("0 1\n\n1 2\n")).tolist() == [(0, 1.0), (1, 2.0)]
 
 
 def test_redd_empty_file(tmp_path):
@@ -46,7 +46,7 @@ def test_redd_tolerant_skips_and_logs(caplog):
     text = "0 1\nbogus line here\n2 3\n4 inf\n5 6\n"
     with caplog.at_level("WARNING"):
         samples = load_redd_channel(io.StringIO(text), tolerant=True)
-    assert samples == [(0, 1.0), (2, 3.0), (5, 6.0)]
+    assert samples.tolist() == [(0, 1.0), (2, 3.0), (5, 6.0)]
     assert "skipped 2" in caplog.text
 
 
@@ -56,7 +56,7 @@ def test_redd_tolerant_equals_strict_on_good_lines_only():
     for pos in (0, 7, 19):
         lines.insert(pos, "garbage")
     mixed = "\n".join(lines) + "\n"
-    assert load_redd_channel(io.StringIO(mixed), tolerant=True) == good
+    assert load_redd_channel(io.StringIO(mixed), tolerant=True).tolist() == good
     with pytest.raises(ParseError):
         load_redd_channel(io.StringIO(mixed))
 
@@ -75,7 +75,7 @@ def test_redd_tolerant_equals_strict_on_good_lines_only():
 def test_redd_round_trip(samples):
     buf = io.StringIO()
     dump_redd_channel(samples, buf)
-    assert load_redd_channel(io.StringIO(buf.getvalue())) == [
+    assert load_redd_channel(io.StringIO(buf.getvalue())).tolist() == [
         (int(t), float(p)) for t, p in samples
     ]
 
@@ -84,11 +84,24 @@ def test_redd_round_trip_to_file(tmp_path):
     f = tmp_path / "out.dat"
     samples = [(0, 100.0), (1, 222.02)]
     dump_redd_channel(samples, f)
-    assert load_redd_channel(f) == samples
+    assert load_redd_channel(f).tolist() == samples
+
+
+def test_redd_array_round_trip(tmp_path):
+    text = "1303132930 222.02\n1303132931 0.1\n9007199254740993 1e+20\n1303132929 5.0\n"
+    f = tmp_path / "channel_1.dat"
+    f.write_text(text)
+    samples = load_redd_channel(f)
+    buf = io.StringIO()
+    dump_redd_channel(samples, buf)
+    assert buf.getvalue() == text
+    again = load_redd_channel(io.StringIO(buf.getvalue()))
+    assert again.dtype == samples.dtype
+    assert again.tobytes() == samples.tobytes()
 
 
 def test_csv_basic():
-    assert load_csv(io.StringIO("t,p\n0,100\n1,200\n"), "t", "p") == [(0, 100.0), (1, 200.0)]
+    assert load_csv(io.StringIO("t,p\n0,100\n1,200\n"), "t", "p").tolist() == [(0, 100.0), (1, 200.0)]
 
 
 def test_csv_missing_column():
@@ -99,7 +112,7 @@ def test_csv_missing_column():
 
 def test_csv_extra_columns_ignored():
     text = "t,p,extra\n0,100,x\n1,200,y\n"
-    assert load_csv(io.StringIO(text), "t", "p") == [(0, 100.0), (1, 200.0)]
+    assert load_csv(io.StringIO(text), "t", "p").tolist() == [(0, 100.0), (1, 200.0)]
 
 
 def test_csv_extra_columns_match_naive_reader():
@@ -109,20 +122,33 @@ def test_csv_extra_columns_match_naive_reader():
     for line in text.splitlines()[1:]:
         fields = line.split(",")
         naive.append((int(float(fields[0])), float(fields[1])))
-    assert load_csv(io.StringIO(text), "ts", "watts") == naive
+    assert load_csv(io.StringIO(text), "ts", "watts").tolist() == naive
 
 
 def test_csv_fractional_timestamps_truncate_toward_zero():
     text = "t,p\n3.9,100\n5.1,50\n"
-    assert load_csv(io.StringIO(text), "t", "p") == [(3, 100.0), (5, 50.0)]
+    assert load_csv(io.StringIO(text), "t", "p").tolist() == [(3, 100.0), (5, 50.0)]
+
+
+def test_csv_integer_timestamps_are_exact():
+    text = f"t,p\n{2**53 + 1},100\n{2**53 + 2},50\n{-(2**63)},1\n{2**63 - 1}.5,2\n"
+    assert load_csv(io.StringIO(text), "t", "p").tolist() == [
+        (2**53 + 1, 100.0), (2**53 + 2, 50.0), (-(2**63), 1.0), (2**63 - 1, 2.0)
+    ]
+
+
+@pytest.mark.parametrize("token", [str(2**63), f"{-(2**63) - 1}", "1e30"])
+def test_csv_timestamp_outside_int64(token):
+    with pytest.raises(TimestampRangeError):
+        load_csv(io.StringIO(f"t,p\n0,1\n{token},2\n"), "t", "p")
 
 
 def test_csv_custom_delimiter():
-    assert load_csv(io.StringIO("t;p\n0;1\n"), "t", "p", delimiter=";") == [(0, 1.0)]
+    assert load_csv(io.StringIO("t;p\n0;1\n"), "t", "p", delimiter=";").tolist() == [(0, 1.0)]
 
 
 def test_csv_header_whitespace_stripped():
-    assert load_csv(io.StringIO(" t , p \n0,1\n"), "t", "p") == [(0, 1.0)]
+    assert load_csv(io.StringIO(" t , p \n0,1\n"), "t", "p").tolist() == [(0, 1.0)]
 
 
 def test_csv_short_row():
@@ -130,7 +156,7 @@ def test_csv_short_row():
     with pytest.raises(ParseError) as err:
         load_csv(io.StringIO(text), "t", "p")
     assert err.value.line_no == 3
-    assert load_csv(io.StringIO(text), "t", "p", tolerant=True) == [(0, 100.0)]
+    assert load_csv(io.StringIO(text), "t", "p", tolerant=True).tolist() == [(0, 100.0)]
 
 
 def test_csv_empty_and_header_only():
@@ -143,16 +169,16 @@ def test_csv_empty_and_header_only():
 def test_combine_pointwise_sum():
     mains1 = [(0, 100.0), (1, 100.0)]
     mains2 = [(0, 50.0), (1, 60.0)]
-    assert combine_mains([mains1, mains2]) == [(0, 150.0), (1, 160.0)]
+    assert combine_mains([mains1, mains2]).tolist() == [(0, 150.0), (1, 160.0)]
 
 
 def test_combine_intersection_drops_partial_timestamps():
-    assert combine_mains([[(0, 100.0), (1, 100.0)], [(0, 50.0)]]) == [(0, 150.0)]
+    assert combine_mains([[(0, 100.0), (1, 100.0)], [(0, 50.0)]]).tolist() == [(0, 150.0)]
 
 
 def test_combine_single_channel_identity():
     ch = [(0, 1.0), (5, 2.0)]
-    assert combine_mains([ch]) == ch
+    assert combine_mains([ch]).tolist() == ch
 
 
 def test_combine_requires_channels():
@@ -161,7 +187,14 @@ def test_combine_requires_channels():
 
 
 def test_combine_duplicates_keep_last():
-    assert combine_mains([[(0, 1.0), (0, 5.0)], [(0, 2.0)]]) == [(0, 7.0)]
+    assert combine_mains([[(0, 1.0), (0, 5.0)], [(0, 2.0)]]).tolist() == [(0, 7.0)]
+
+
+def test_combine_logs_samples_lost_to_intersection(caplog):
+    with caplog.at_level("WARNING"):
+        combined = combine_mains([[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], [(1, 2.0), (3, 2.0)]])
+    assert combined.tolist() == [(1, 3.0), (3, 3.0)]
+    assert "dropped [2, 0] samples per channel" in caplog.text
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +214,7 @@ def test_combine_duplicates_keep_last():
     )
 )
 def test_combine_commutative(channels):
-    assert combine_mains(channels) == combine_mains(list(reversed(channels)))
+    assert combine_mains(channels).tolist() == combine_mains(list(reversed(channels))).tolist()
 
 
 @pytest.fixture
@@ -194,8 +227,8 @@ def house_dir(tmp_path):
 
 
 def test_house_loader_modes(house_dir):
-    assert load_redd_house(house_dir) == [(0, 150.0), (1, 160.0)]
-    assert load_redd_house(house_dir, mains="first") == [(0, 100.0), (1, 100.0), (2, 100.0)]
-    assert load_redd_house(house_dir, mains="second") == [(0, 50.0), (1, 60.0)]
+    assert load_redd_house(house_dir).tolist() == [(0, 150.0), (1, 160.0)]
+    assert load_redd_house(house_dir, mains="first").tolist() == [(0, 100.0), (1, 100.0), (2, 100.0)]
+    assert load_redd_house(house_dir, mains="second").tolist() == [(0, 50.0), (1, 60.0)]
     with pytest.raises(ValueError):
         load_redd_house(house_dir, mains="bogus")

@@ -73,6 +73,10 @@ def test_validate_non_finite():
         validate_trace([(0, float("nan"))])
     with pytest.raises(NonFiniteError):
         validate_trace([(0, float("inf"))])
+    with pytest.raises(NonFiniteError):
+        validate_trace([(0, 1.0), (float("nan"), 1.0)])
+    with pytest.raises(NonFiniteError):
+        validate_trace([(float("inf"), 1.0), (1, 1.0)])
 
 
 def test_validate_rejects_timestamps_outside_int64():
@@ -80,8 +84,8 @@ def test_validate_rejects_timestamps_outside_int64():
     # collapse them as duplicates
     with pytest.raises(TimestampRangeError) as err:
         validate_trace([(2**63 + 10, 1.0), (2**64, 2.0), (5, 3.0)])
-    assert err.value.timestamp == 2.0**63
-    assert "9223372036854775808" in str(err.value)
+    assert err.value.timestamp == 2**63 + 10
+    assert "9223372036854775818" in str(err.value)
 
 
 def test_stats_trace_a(trace_a):
