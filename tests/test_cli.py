@@ -276,6 +276,9 @@ PINNED_SHA256 = {
     "sweep.csv": "60f24fdf2d352664afea21a51f34bd9a2237a28ddb2b96d883996a414f6db167",
     "sample_event": "dcbb232de901d938d026b7552610cef1ba5a7b21d453780806a5af0c365619b3",
     "sample_time_dt7": "0403bcbc30cb5bb6c3fa825b5664ab7b6fecf4877c5cdc963930b56f78593acc",
+    "stats_table": "d104fe925ec608bbb9cd246c6b87257e0fbfc55761aa94d7b326ccd9dafc4847",
+    "stats.csv": "dfe391a989250699acf973b673c3d687d0342cb26a63538f04c9b84127b907d9",
+    "diffdist.csv": "7996ecd98098ecfe170f76df572fd1aebf03f89270781fa53ad67fcabb3e17bf",
 }
 
 
@@ -304,4 +307,13 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
     ):
         assert main(["sample", *common, *extra]) == 0
         got[name] = sha(capsys.readouterr().out.encode("utf-8"))
+    # a second input whose trace id holds a comma pins the csv quoting
+    f2 = tmp_path / "gappy,b.dat"
+    f2.write_bytes(f.read_bytes())
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", *common, "--input", str(f2), "--out", str(stats_dir)]) == 0
+    got["stats_table"] = sha(capsys.readouterr().out.encode("utf-8"))
+    got["stats.csv"] = sha((stats_dir / "stats.csv").read_bytes())
+    assert main(["diffdist", *common, "--out", str(tmp_path / "out")]) == 0
+    got["diffdist.csv"] = sha((tmp_path / "out" / "gappy_diffdist.csv").read_bytes())
     assert got == PINNED_SHA256
