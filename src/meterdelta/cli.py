@@ -8,56 +8,56 @@ Subcommands:
 
 Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
-outputs diff cleanly. Exit codes: 0 success, 1 input or parse error, 2
-configuration error.
+outputs diff cleanly. A file under --out is written to a temporary file in
+the same directory and then renamed over its target, so it is replaced
+whole or not at all. Exit codes: 0 success, 1 input or parse error
+(including input that is not UTF-8 text), 2 configuration error (including
+a NaN percentage or a grid cell whose two percentages are both inf).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MeterDeltaError
 from .evaluate import DEFAULT_DT_GRID, SweepResult, run_sweep
 from .ingest import load_csv, load_redd_channel, load_redd_house
-from .sampler import TRIGGERS, ReadingStream, sample_event_based, sample_time_based
+from .sampler import TRIGGERS, sample_event_based, sample_time_based
 from .thresholds import DEFAULT_PERCENT_GRID, Thresholds, ThresholdSpec, derive_thresholds
-from .trace import (
-    SECONDS_PER_HOUR,
-    PowerTrace,
-    first_difference_distribution,
-    segment_trace,
-    trace_stats,
-    validate_trace,
-)
+from .trace import (SECONDS_PER_HOUR, PowerTrace, TraceStats, first_difference_distribution,
+                    segment_trace, trace_stats, validate_trace)
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    inputs: tuple[Path, ...]
-    fmt: str
-    mains: str
-    max_gap: int
-    timestamp_col: str
-    power_col: str
-    delimiter: str
-    tolerant: bool
-    out: Path | None
-    emit: str
-    dt_list: tuple[int, ...]
-    p_list: tuple[float, ...]
-    e_list: tuple[float, ...]
-    spec: ThresholdSpec
+# TraceStats field, stdout heading, stdout width, decimals (None: an integer);
+# drives the stdout table, stats.csv and the "stats" block of the sweep JSON
+STATS_COLUMNS = (
+    ("peak_power_w", "peak_w", 12, 2),
+    ("peak_variation_w", "peak_var_w", 13, 2),
+    ("total_energy_wh", "energy_wh", 15, 2),
+    ("mean_daily_energy_wh", "daily_wh", 13, 2),
+    ("coverage", "coverage", 10, 6),
+    ("duration_s", "duration_s", 12, None),
+    ("gap_count", "gaps", 7, None),
+)
 
 
-def _parse_number_list(text: str, kind, flag: str) -> tuple:
+def _stat_cells(stats: TraceStats, padded: bool) -> list[str]:
+    specs = ((field, width if padded else "", "d" if dec is None else f".{dec}f")
+             for field, _, width, dec in STATS_COLUMNS)
+    return [format(getattr(stats, field), f">{width}{kind}") for field, width, kind in specs]
+
+
+def _numbers(text: str, kind, flag: str) -> tuple:
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -67,188 +67,128 @@ def _parse_number_list(text: str, kind, flag: str) -> tuple:
     return values
 
 
-def _config_from_args(args) -> RunConfig:
+def _check(args) -> None:
+    """Validate the parsed flags, replacing the list flags by tuples of
+    numbers and adding args.spec; raises ConfigError."""
     if args.max_gap < 1:
         raise ConfigError("--max-gap must be >= 1")
     if len(args.delimiter) != 1:
         raise ConfigError("--delimiter must be a single character")
-    dt_list = _parse_number_list(args.dt, int, "--dt") if hasattr(args, "dt") else ()
-    if dt_list and min(dt_list) < 1:
-        raise ConfigError("--dt values must be >= 1")
-    p_list = _parse_number_list(args.p_percent, float, "--p-percent")
-    e_list = _parse_number_list(args.e_percent, float, "--e-percent")
-    if min(p_list) <= 0 or min(e_list) <= 0:
+    if args.command == "sweep":
+        args.dt = _numbers(args.dt, int, "--dt")
+        if min(args.dt) < 1:
+            raise ConfigError("--dt values must be >= 1")
+    args.p_percent = _numbers(args.p_percent, float, "--p-percent")
+    args.e_percent = _numbers(args.e_percent, float, "--e-percent")
+    if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
         raise ConfigError("percent values must be positive")
+    if math.inf in args.p_percent and math.inf in args.e_percent:
+        raise ConfigError("the grid cell with both percentages inf disables every trigger")
     try:
-        spec = ThresholdSpec(
-            p_percent=p_list[0],
-            e_percent=e_list[0],
-            power_base=args.power_base,
-            rounding=args.rounding,
-        )
+        args.spec = ThresholdSpec(args.p_percent[0], args.e_percent[0],
+                                  args.power_base, args.rounding)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        inputs=tuple(Path(p) for p in args.input),
-        fmt=args.format,
-        mains=args.mains,
-        max_gap=args.max_gap,
-        timestamp_col=args.timestamp_col,
-        power_col=args.power_col,
-        delimiter=args.delimiter,
-        tolerant=args.tolerant,
-        out=Path(args.out) if args.out else None,
-        emit=getattr(args, "emit", "both"),
-        dt_list=dt_list,
-        p_list=p_list,
-        e_list=e_list,
-        spec=spec,
-    )
+    args.out = Path(args.out) if args.out else None
+    if args.out is None and args.command == "sweep":
+        raise ConfigError("sweep needs --out")
+    if args.out is None and args.command in ("diffdist", "sample") and len(args.input) > 1:
+        raise ConfigError("multiple inputs need --out (stdout handles one trace)")
+    if args.command == "sample" and args.strategy == "time":
+        if args.delta_t is None or args.delta_t < 1:
+            raise ConfigError("time strategy needs --delta-t >= 1")
 
 
-def _load_traces(cfg: RunConfig) -> list[tuple[str, PowerTrace]]:
+def _load_traces(args) -> list[tuple[str, PowerTrace]]:
     traces = []
-    for path in cfg.inputs:
-        if cfg.fmt == "redd":
-            if path.is_dir():
-                raw = load_redd_house(path, mains=cfg.mains, tolerant=cfg.tolerant)
-            else:
-                raw = load_redd_channel(path, tolerant=cfg.tolerant)
+    for path in map(Path, args.input):
+        if args.format == "csv":
+            raw = load_csv(path, args.timestamp_col, args.power_col,
+                           delimiter=args.delimiter, tolerant=args.tolerant)
+        elif path.is_dir():
+            raw = load_redd_house(path, mains=args.mains, tolerant=args.tolerant)
         else:
-            raw = load_csv(
-                path,
-                cfg.timestamp_col,
-                cfg.power_col,
-                delimiter=cfg.delimiter,
-                tolerant=cfg.tolerant,
-            )
-        trace_id = path.name if path.is_dir() else path.stem
-        traces.append((trace_id, validate_trace(raw)))
+            raw = load_redd_channel(path, tolerant=args.tolerant)
+        traces.append((path.name if path.is_dir() else path.stem, validate_trace(raw)))
     return traces
 
 
-def _open_out(cfg: RunConfig, filename: str):
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return open(cfg.out / filename, "w", encoding="utf-8", newline="")
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _require_single_or_out(cfg: RunConfig) -> None:
-    if cfg.out is None and len(cfg.inputs) > 1:
-        raise ConfigError("multiple inputs need --out (stdout handles one trace)")
+def _emit(args, name: str, text: str) -> None:
+    """Write text to stdout without --out; otherwise replace --out/name
+    atomically through a temporary file in the same directory."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    args.out.mkdir(parents=True, exist_ok=True)
+    tmp = args.out / f".{name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out / name)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-STATS_HEADER = (
-    f"{'trace':<20}{'peak_w':>12}{'peak_var_w':>13}{'energy_wh':>15}"
-    f"{'daily_wh':>13}{'coverage':>10}{'duration_s':>12}{'gaps':>7}"
-)
-
-
-def cmd_stats(cfg: RunConfig) -> int:
-    traces = _load_traces(cfg)
-    print(STATS_HEADER)
+def cmd_stats(args) -> int:
+    traces = _load_traces(args)
+    print(f"{'trace':<20}" + "".join(f"{head:>{width}}" for _, head, width, _ in STATS_COLUMNS))
     rows = []
     for trace_id, trace in traces:
         s = trace_stats(trace)
-        print(
-            f"{trace_id:<20}{s.peak_power_w:>12.2f}{s.peak_variation_w:>13.2f}"
-            f"{s.total_energy_wh:>15.2f}{s.mean_daily_energy_wh:>13.2f}"
-            f"{s.coverage:>10.6f}{s.duration_s:>12d}{s.gap_count:>7d}"
-        )
-        rows.append((trace_id, s))
-    if cfg.out is not None:
-        with _open_out(cfg, "stats.csv") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "trace_id",
-                    "peak_power_w",
-                    "peak_variation_w",
-                    "total_energy_wh",
-                    "mean_daily_energy_wh",
-                    "coverage",
-                    "duration_s",
-                    "gap_count",
-                ]
-            )
-            for trace_id, s in rows:
-                writer.writerow(
-                    [
-                        trace_id,
-                        f"{s.peak_power_w:.2f}",
-                        f"{s.peak_variation_w:.2f}",
-                        f"{s.total_energy_wh:.2f}",
-                        f"{s.mean_daily_energy_wh:.2f}",
-                        f"{s.coverage:.6f}",
-                        s.duration_s,
-                        s.gap_count,
-                    ]
-                )
+        print(f"{trace_id:<20}" + "".join(_stat_cells(s, padded=True)))
+        rows.append([trace_id, *_stat_cells(s, padded=False)])
+    if args.out is not None:
+        _emit(args, "stats.csv", _csv_text(["trace_id", *(c[0] for c in STATS_COLUMNS)], rows))
     return 0
 
 
-def cmd_diffdist(cfg: RunConfig) -> int:
-    _require_single_or_out(cfg)
-    for trace_id, trace in _load_traces(cfg):
+def cmd_diffdist(args) -> int:
+    for trace_id, trace in _load_traces(args):
         curve = first_difference_distribution(trace)
-        lines = ["rank_percent,normalized_delta"]
-        lines += [
-            f"{rank:.9f},{delta:.9f}"
-            for rank, delta in zip(curve.rank_percent.tolist(), curve.normalized_delta.tolist())
-        ]
-        text = "\n".join(lines) + "\n"
-        if cfg.out is None:
-            sys.stdout.write(text)
-        else:
-            with _open_out(cfg, f"{trace_id}_diffdist.csv") as fh:
-                fh.write(text)
+        rows = zip(curve.rank_percent.tolist(), curve.normalized_delta.tolist())
+        text = _csv_text(["rank_percent", "normalized_delta"],
+                         ([f"{rank:.9f}", f"{delta:.9f}"] for rank, delta in rows))
+        _emit(args, f"{trace_id}_diffdist.csv", text)
     return 0
 
 
-def _readings_csv(streams: list[ReadingStream]) -> str:
-    lines = ["timestamp,trigger,energy_wh,power_w"]
-    for s in streams:
-        columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
-        lines += [
-            f"{t},{TRIGGERS[code]},{e_wh:.6f},{p:.2f}"
-            for t, code, e_wh, p in zip(*(c.tolist() for c in columns))
-        ]
-    return "\n".join(lines) + "\n"
+def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
+    try:
+        if args.delta_p is None and args.energy is None:
+            # no explicit thresholds: derive them from the first grid percentages
+            derived = derive_thresholds(trace_stats(trace), args.spec)
+            return Thresholds(derived.power_delta_w, derived.energy_wh, args.max_silence)
+        return Thresholds(math.inf if args.delta_p is None else args.delta_p,
+                          math.inf if args.energy is None else args.energy, args.max_silence)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _sample_thresholds(args, cfg: RunConfig, trace: PowerTrace) -> Thresholds:
-    if args.delta_p is None and args.energy is None:
-        # no explicit thresholds: derive them from the first grid percentages
-        derived = derive_thresholds(trace_stats(trace), cfg.spec)
-        if args.max_silence is None:
-            return derived
-        return Thresholds(derived.power_delta_w, derived.energy_wh, args.max_silence)
-    return Thresholds(
-        power_delta_w=args.delta_p if args.delta_p is not None else float("inf"),
-        energy_wh=args.energy if args.energy is not None else float("inf"),
-        max_silence_s=args.max_silence,
-    )
-
-
-def cmd_sample(cfg: RunConfig, args) -> int:
-    _require_single_or_out(cfg)
-    if args.strategy == "time" and (args.delta_t is None or args.delta_t < 1):
-        raise ConfigError("time strategy needs --delta-t >= 1")
-    for trace_id, trace in _load_traces(cfg):
-        segments = segment_trace(trace, cfg.max_gap)
+def cmd_sample(args) -> int:
+    for trace_id, trace in _load_traces(args):
+        segments = segment_trace(trace, args.max_gap)
         if args.strategy == "time":
             streams = [sample_time_based(seg, args.delta_t) for seg in segments]
         else:
-            try:
-                th = _sample_thresholds(args, cfg, trace)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            th = _sample_thresholds(args, trace)
             streams = [sample_event_based(seg, th) for seg in segments]
-        text = _readings_csv(streams)
-        if cfg.out is None:
-            sys.stdout.write(text)
-        else:
-            with _open_out(cfg, f"{trace_id}_readings.csv") as fh:
-                fh.write(text)
+        rows = (
+            [t, TRIGGERS[code], f"{e_wh:.6f}", f"{p:.2f}"]
+            for s in streams
+            for t, code, e_wh, p in zip(s.timestamps.tolist(), s.triggers.tolist(),
+                                        (s.energy_ws / SECONDS_PER_HOUR).tolist(), s.power_w.tolist())
+        )
+        text = _csv_text(["timestamp", "trigger", "energy_wh", "power_w"], rows)
+        _emit(args, f"{trace_id}_readings.csv", text)
     return 0
 
 
@@ -257,82 +197,53 @@ def _sweep_payload(result: SweepResult) -> dict:
     return {
         "trace_id": result.trace_id,
         "stats": {
-            "peak_power_w": round(s.peak_power_w, 2),
-            "peak_variation_w": round(s.peak_variation_w, 2),
-            "total_energy_wh": round(s.total_energy_wh, 2),
-            "mean_daily_energy_wh": round(s.mean_daily_energy_wh, 2),
-            "coverage": round(s.coverage, 6),
-            "duration_s": s.duration_s,
-            "gap_count": s.gap_count,
+            field: getattr(s, field) if dec is None else round(getattr(s, field), dec)
+            for field, _, _, dec in STATS_COLUMNS
         },
         "time_based": [
             {"dt": r.dt, "nmae": round(r.nmae, 6), "count": r.message_count}
             for r in result.time_based
         ],
         "event_based": [
-            {
-                "p_percent": r.p_percent,
-                "e_percent": r.e_percent,
-                "delta_p_w": round(r.thresholds.power_delta_w, 2),
-                "energy_wh": round(r.thresholds.energy_wh, 2),
-                "nmae": round(r.nmae, 6),
-                "count": r.message_count,
-                "compression_vs_10s": round(r.compression_vs_10s, 6),
-            }
+            {"p_percent": r.p_percent, "e_percent": r.e_percent,
+             "delta_p_w": round(r.thresholds.power_delta_w, 2),
+             "energy_wh": round(r.thresholds.energy_wh, 2), "nmae": round(r.nmae, 6),
+             "count": r.message_count, "compression_vs_10s": round(r.compression_vs_10s, 6)}
             for r in result.event_based
         ],
     }
 
 
-def _write_sweep_csv(result: SweepResult, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        [
-            "strategy",
-            "dt",
-            "p_percent",
-            "e_percent",
-            "delta_p_w",
-            "energy_wh",
-            "nmae",
-            "count",
-            "compression_vs_10s",
-        ]
-    )
-    for r in result.time_based:
-        writer.writerow(["time", r.dt, "", "", "", "", f"{r.nmae:.6f}", r.message_count, ""])
-    for r in result.event_based:
-        writer.writerow(
-            [
-                "event",
-                "",
-                f"{r.p_percent:g}",
-                f"{r.e_percent:g}",
-                f"{r.thresholds.power_delta_w:.2f}",
-                f"{r.thresholds.energy_wh:.2f}",
-                f"{r.nmae:.6f}",
-                r.message_count,
-                f"{r.compression_vs_10s:.6f}",
-            ]
-        )
+def _sweep_csv(result: SweepResult) -> str:
+    header = ["strategy", "dt", "p_percent", "e_percent", "delta_p_w", "energy_wh", "nmae",
+              "count", "compression_vs_10s"]
+    rows = [["time", r.dt, "", "", "", "", f"{r.nmae:.6f}", r.message_count, ""]
+            for r in result.time_based]
+    rows += [["event", "", f"{r.p_percent:g}", f"{r.e_percent:g}",
+              f"{r.thresholds.power_delta_w:.2f}", f"{r.thresholds.energy_wh:.2f}",
+              f"{r.nmae:.6f}", r.message_count, f"{r.compression_vs_10s:.6f}"]
+             for r in result.event_based]
+    return _csv_text(header, rows)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.out is None:
-        raise ConfigError("sweep needs --out")
-    for trace_id, trace in _load_traces(cfg):
-        segments = segment_trace(trace, cfg.max_gap)
-        result = run_sweep(
-            segments, cfg.dt_list, cfg.p_list, cfg.e_list, cfg.spec, trace_id=trace_id
-        )
-        if cfg.emit in ("json", "both"):
-            with _open_out(cfg, f"{trace_id}_sweep.json") as fh:
-                json.dump(_sweep_payload(result), fh, indent=2)
-                fh.write("\n")
-        if cfg.emit in ("csv", "both"):
-            with _open_out(cfg, f"{trace_id}_sweep.csv") as fh:
-                _write_sweep_csv(result, fh)
+def cmd_sweep(args) -> int:
+    for trace_id, trace in _load_traces(args):
+        result = run_sweep(segment_trace(trace, args.max_gap), args.dt, args.p_percent,
+                           args.e_percent, args.spec, trace_id=trace_id)
+        if args.emit in ("json", "both"):
+            text = json.dumps(_sweep_payload(result), indent=2) + "\n"
+            _emit(args, f"{trace_id}_sweep.json", text)
+        if args.emit in ("csv", "both"):
+            _emit(args, f"{trace_id}_sweep.csv", _sweep_csv(result))
     return 0
+
+
+COMMANDS = {
+    "stats": (cmd_stats, "print per-trace statistics"),
+    "diffdist": (cmd_diffdist, "emit the normalized power-change curve"),
+    "sample": (cmd_sample, "emit readings for one strategy"),
+    "sweep": (cmd_sweep, "evaluate full parameter grids"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerant", action="store_true",
                         help="skip unparseable lines instead of failing")
     common.add_argument("--out", default=None, metavar="DIR")
-    common.add_argument("--p-percent", default=",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID),
-                        metavar="LIST")
-    common.add_argument("--e-percent", default=",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID),
-                        metavar="LIST")
+    grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
+    common.add_argument("--p-percent", default=grid, metavar="LIST")
+    common.add_argument("--e-percent", default=grid, metavar="LIST")
     common.add_argument("--power-base", choices=("variation", "peak"), default="variation")
     common.add_argument("--rounding", choices=("ceil", "none"), default="ceil")
 
@@ -362,43 +272,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-based metering with derived thresholds, benchmarked against periodic metering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {name: sub.add_parser(name, parents=[common], help=text)
+            for name, (_, text) in COMMANDS.items()}
 
-    sub.add_parser("stats", parents=[common], help="print per-trace statistics")
-    sub.add_parser("diffdist", parents=[common], help="emit the normalized power-change curve")
+    subs["sample"].add_argument("--strategy", choices=("time", "event"), required=True)
+    subs["sample"].add_argument("--delta-t", type=int, default=None, metavar="S")
+    subs["sample"].add_argument("--delta-p", type=float, default=None, metavar="W")
+    subs["sample"].add_argument("--energy", type=float, default=None, metavar="WH")
+    subs["sample"].add_argument("--max-silence", type=int, default=None, metavar="S")
 
-    p_sample = sub.add_parser("sample", parents=[common], help="emit readings for one strategy")
-    p_sample.add_argument("--strategy", choices=("time", "event"), required=True)
-    p_sample.add_argument("--delta-t", type=int, default=None, metavar="S")
-    p_sample.add_argument("--delta-p", type=float, default=None, metavar="W")
-    p_sample.add_argument("--energy", type=float, default=None, metavar="WH")
-    p_sample.add_argument("--max-silence", type=int, default=None, metavar="S")
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="evaluate full parameter grids")
-    p_sweep.add_argument("--dt", default=",".join(str(v) for v in DEFAULT_DT_GRID),
-                         metavar="LIST")
-    p_sweep.add_argument("--emit", choices=("json", "csv", "both"), default="both")
+    subs["sweep"].add_argument("--dt", default=",".join(str(v) for v in DEFAULT_DT_GRID),
+                               metavar="LIST")
+    subs["sweep"].add_argument("--emit", choices=("json", "csv", "both"), default="both")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "diffdist":
-            return cmd_diffdist(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg, args)
-        return cmd_sweep(cfg)
-    except ConfigError as exc:
+        _check(args)
+        return COMMANDS[args.command][0](args)
+    except (ConfigError, MeterDeltaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MeterDeltaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":
