@@ -8,11 +8,9 @@ Subcommands:
 
 Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
-outputs diff cleanly. A file under --out is written to a temporary file in
-the same directory and then renamed over its target, so it is replaced
-whole or not at all. Exit codes: 0 success, 1 input or parse error
-(including input that is not UTF-8 text), 2 configuration error (including
-a NaN percentage or a grid cell whose two percentages are both inf).
+outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
+0 success, 1 input or parse error (such as input that is not UTF-8 text),
+2 configuration error (such as a NaN percentage, or inf in both grids).
 """
 from __future__ import annotations
 
@@ -114,6 +112,8 @@ def _load_traces(args) -> list[tuple[str, PowerTrace]]:
 
 
 def _csv_text(header: list[str], rows) -> str:
+    """CSV with the quoting a trace id or an empty cell needs; numeric-only
+    outputs join f-strings instead, which is faster on a million rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -154,10 +154,10 @@ def cmd_stats(args) -> int:
 def cmd_diffdist(args) -> int:
     for trace_id, trace in _load_traces(args):
         curve = first_difference_distribution(trace)
-        rows = zip(curve.rank_percent.tolist(), curve.normalized_delta.tolist())
-        text = _csv_text(["rank_percent", "normalized_delta"],
-                         ([f"{rank:.9f}", f"{delta:.9f}"] for rank, delta in rows))
-        _emit(args, f"{trace_id}_diffdist.csv", text)
+        lines = ["rank_percent,normalized_delta"]
+        lines += [f"{rank:.9f},{delta:.9f}" for rank, delta in
+                  zip(curve.rank_percent.tolist(), curve.normalized_delta.tolist())]
+        _emit(args, f"{trace_id}_diffdist.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -181,14 +181,12 @@ def cmd_sample(args) -> int:
         else:
             th = _sample_thresholds(args, trace)
             streams = [sample_event_based(seg, th) for seg in segments]
-        rows = (
-            [t, TRIGGERS[code], f"{e_wh:.6f}", f"{p:.2f}"]
-            for s in streams
-            for t, code, e_wh, p in zip(s.timestamps.tolist(), s.triggers.tolist(),
-                                        (s.energy_ws / SECONDS_PER_HOUR).tolist(), s.power_w.tolist())
-        )
-        text = _csv_text(["timestamp", "trigger", "energy_wh", "power_w"], rows)
-        _emit(args, f"{trace_id}_readings.csv", text)
+        lines = ["timestamp,trigger,energy_wh,power_w"]
+        for s in streams:
+            columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
+            lines += [f"{t},{TRIGGERS[code]},{e_wh:.6f},{p:.2f}"
+                      for t, code, e_wh, p in zip(*(c.tolist() for c in columns))]
+        _emit(args, f"{trace_id}_readings.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -205,10 +203,15 @@ def _sweep_payload(result: SweepResult) -> dict:
             for r in result.time_based
         ],
         "event_based": [
-            {"p_percent": r.p_percent, "e_percent": r.e_percent,
-             "delta_p_w": round(r.thresholds.power_delta_w, 2),
-             "energy_wh": round(r.thresholds.energy_wh, 2), "nmae": round(r.nmae, 6),
-             "count": r.message_count, "compression_vs_10s": round(r.compression_vs_10s, 6)}
+            {
+                "p_percent": r.p_percent,
+                "e_percent": r.e_percent,
+                "delta_p_w": round(r.thresholds.power_delta_w, 2),
+                "energy_wh": round(r.thresholds.energy_wh, 2),
+                "nmae": round(r.nmae, 6),
+                "count": r.message_count,
+                "compression_vs_10s": round(r.compression_vs_10s, 6),
+            }
             for r in result.event_based
         ],
     }

@@ -40,6 +40,21 @@ def _as_lines(source) -> Iterator[str]:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _numbered(items: Iterable, first: int) -> Iterator[tuple[int, object]]:
+    """enumerate(items, first), except that text which cannot be decoded or
+    split into fields raises ParseError at the line reached. No stream is
+    left to resume after that, so tolerant mode cannot skip it either."""
+    number = first
+    try:
+        for item in items:
+            yield number, item
+            number += 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(number, f"not UTF-8 text here or later ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(number, str(exc)) from None
+
+
 def _collect(numbered, parse, tolerant: bool, unit: str) -> np.ndarray:
     """Parse the non-empty items of (number, item) pairs into a SAMPLE_DTYPE
     array, raising at the first malformed item or, if tolerant, logging them."""
@@ -75,7 +90,7 @@ def load_redd_channel(source, *, tolerant: bool = False) -> np.ndarray:
     skipped; CRLF endings are accepted.
     """
     lines = (line.split() for line in _as_lines(source))
-    return _collect(enumerate(lines, start=1), _parse_channel_line, tolerant, "lines")
+    return _collect(_numbered(lines, 1), _parse_channel_line, tolerant, "lines")
 
 
 def _parse_channel_line(line_no: int, tokens: list[str]) -> tuple[int, float]:
@@ -116,8 +131,8 @@ def load_csv(
     Extra columns are ignored; rows missing either selected column fail.
     Fractional timestamps are truncated toward zero onto the 1 s grid.
     """
-    reader = csv.reader(_as_lines(source), delimiter=delimiter)
-    header = next(reader, None)
+    rows = _numbered(csv.reader(_as_lines(source), delimiter=delimiter), 1)
+    _, header = next(rows, (1, None))
     if header is None:
         raise EmptyInputError("empty file: no header row")
     names = [h.strip() for h in header]
@@ -129,7 +144,7 @@ def load_csv(
     p_idx = names.index(power_col)
 
     parse = functools.partial(_parse_csv_row, t_idx=t_idx, p_idx=p_idx)
-    return _collect(enumerate(reader, start=2), parse, tolerant, "rows")
+    return _collect(rows, parse, tolerant, "rows")
 
 
 def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> tuple[int, float]:

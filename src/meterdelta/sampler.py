@@ -72,8 +72,10 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     ts = segment.timestamps
     pw = segment.powers
     start, end = segment.start, segment.end
+    # clamped so huge periods fit int64; any period past the end gives one final reading
+    step = min(delta_t, segment.duration + 1)
 
-    edges = np.arange(start + delta_t, end + delta_t, delta_t, dtype=np.int64)
+    edges = np.arange(start + step, end + step, step, dtype=np.int64)
     if edges[-1] > end:
         edges[-1] = end
     stamps = np.concatenate(([start], edges))
@@ -83,7 +85,7 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     csum = np.concatenate(([0.0], np.cumsum(pw * float(segment.nominal_resolution))))
     energies = np.concatenate(([0.0], csum[bounds[1:]] - csum[bounds[:-1]]))
     powers_at = pw[np.searchsorted(ts, stamps, side="right") - 1]
-    triggers = np.where((stamps - start) % delta_t == 0, WINDOW, FINAL)
+    triggers = np.where((stamps - start) % step == 0, WINDOW, FINAL)
     triggers[0] = INITIAL
     return ReadingStream(stamps, triggers, energies, powers_at, f"time:dt={delta_t}", start, end)
 

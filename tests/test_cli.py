@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_stats_timestamps_above_2_53_are_exact(tmp_path, capsys, fmt, text, dura
     assert row[-2:] == [str(duration), str(gaps)]
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"0 100\n1 \xff\xfe\n")
+    huge_field = tmp_path / "huge_field.csv"
+    huge_field.write_text('timestamp,power\n0,1\n1,"' + "x" * 140_000 + '"\n')
+    for argv in (
+        ["--input", str(binary)],
+        ["--input", str(binary), "--tolerant"],
+        ["--input", str(huge_field), "--format", "csv"],
+    ):
+        assert main(["stats", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "Traceback" not in err
+
+
 def test_empty_delimiter_exits_2(tmp_path, capsys):
     f = tmp_path / "data.csv"
     f.write_text("timestamp,power\n0,100\n")
@@ -164,6 +180,19 @@ def test_sample_time_requires_delta_t(trace_a_file, capsys):
         assert "error: time strategy needs --delta-t" in capsys.readouterr().err
 
 
+def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
+    huge = "99999999999999999999"
+    code = main(
+        ["sample", "--input", str(trace_a_file), "--strategy", "time", "--delta-t", huge]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["0,initial,0.000000,100.00", "10,final,0.500000,100.00"]
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--dt", huge]) == 0
+    assert json.loads((out_dir / "trace_a_sweep.json").read_text())["time_based"][0]["count"] == 1
+
+
 def test_sample_silence_only(trace_a_file, capsys):
     code = main(
         ["sample", "--input", str(trace_a_file), "--strategy", "event",
@@ -223,6 +252,17 @@ def test_sweep_emit_selects_outputs(trace_a_file, tmp_path):
     assert not (out_dir / "trace_a_sweep.json").exists()
 
 
+def test_failed_replace_leaves_no_file(trace_a_file, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--dt", "2"]) == 1
+    assert capsys.readouterr().err == "error: replace refused\n"
+    assert list(out_dir.iterdir()) == []  # neither the target nor a temporary file
+
+
 def test_sweep_bad_grid_exits_2(trace_a_file, tmp_path, capsys):
     code = main(
         ["sweep", "--input", str(trace_a_file), "--out", str(tmp_path / "x"),
@@ -234,6 +274,12 @@ def test_sweep_bad_grid_exits_2(trace_a_file, tmp_path, capsys):
          "--p-percent", "abc"]
     )
     assert code == 2
+    capsys.readouterr()
+    for grid in (["--p-percent", "1,nan"], ["--p-percent", "inf", "--e-percent", "inf"]):
+        code = main(["sweep", "--input", str(trace_a_file), "--out", str(tmp_path / "x"), *grid])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_max_gap_validation(trace_a_file):

@@ -166,6 +166,26 @@ def test_csv_empty_and_header_only():
         load_csv(io.StringIO("t,p\n"), "t", "p")
 
 
+@pytest.mark.parametrize("tolerant", [False, True])
+def test_unreadable_text_is_a_parse_error(tmp_path, tolerant):
+    # no stream is left to resume after these errors, so tolerant mode fails too
+    f = tmp_path / "binary.dat"
+    f.write_bytes(b"0 1\n1 2\n2 \xff\n")
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_redd_channel(f, tolerant=tolerant)
+    # a byte stream decodes line by line, so the line number is exact
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_redd_channel(io.BytesIO(b"0 1\n1 2\n2 \xff\n"), tolerant=tolerant)
+    assert err.value.line_no == 3
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_csv(io.BytesIO(b"time\xff,power\n0,1\n"), tolerant=tolerant)
+    assert err.value.line_no == 1
+    huge_field = 'timestamp,power\n0,1\n1,"' + "x" * 140_000 + '"\n2,3\n'
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        load_csv(io.StringIO(huge_field), tolerant=tolerant)
+    assert err.value.line_no == 3
+
+
 def test_combine_pointwise_sum():
     mains1 = [(0, 100.0), (1, 100.0)]
     mains2 = [(0, 50.0), (1, 60.0)]

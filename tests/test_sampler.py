@@ -66,6 +66,15 @@ def test_time_based_dt_longer_than_segment(segment_a):
     assert stream_tuples(stream)[1:] == [(10, "final", 1800.0, 100.0)]
 
 
+def test_time_based_huge_dt_equals_one_window_past_the_end():
+    segment = one_segment(random_gappy_trace(np.random.default_rng(7), length=300))
+    huge = sample_time_based(segment, 10**20)  # past the int64 range
+    one_window = sample_time_based(segment, segment.duration + 1)
+    for column in ("timestamps", "triggers", "energy_ws", "power_w"):
+        assert np.array_equal(getattr(huge, column), getattr(one_window, column))
+    assert [TRIGGERS[c] for c in huge.triggers] == ["initial", "final"]
+
+
 def test_time_based_rejects_bad_dt(segment_a):
     with pytest.raises(ValueError):
         sample_time_based(segment_a, 0)
