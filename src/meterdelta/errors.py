@@ -19,10 +19,10 @@ class NonFiniteError(MeterDeltaError):
 
 
 class TimestampRangeError(MeterDeltaError):
-    """A timestamp does not fit the signed 64-bit epoch-seconds range."""
+    """A timestamp, or the end of its one-second interval, is past int64."""
 
     def __init__(self, timestamp):
-        super().__init__(f"timestamp {timestamp} is outside the int64 range")
+        super().__init__(f"timestamp {timestamp} is outside the range [-2**63, 2**63 - 1)")
         self.timestamp = timestamp
 
 

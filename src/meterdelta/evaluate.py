@@ -70,7 +70,7 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
         raise MismatchedSegmentError("stream timestamps fall outside the segment")
     interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
     idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
-    return PowerTrace(segment.timestamps, interval_power[idx], segment.nominal_resolution)
+    return PowerTrace(segment.timestamps, interval_power[idx])
 
 
 def _residual(original: PowerTrace, reconstructed: PowerTrace) -> np.ndarray:

@@ -9,18 +9,33 @@ energy.
 Energies ride in watt-seconds internally: a 1 Hz integrator's native unit,
 which keeps window sums and reconstruction exact. Divide by
 SECONDS_PER_HOUR at presentation boundaries.
+
+The send-on-delta scan is a C kernel, built with cc at the first event
+sampling call (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
+import os
+import platform
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .errors import MeterDeltaError
 from .thresholds import Thresholds
 from .trace import SECONDS_PER_HOUR, PowerTrace
 
 TRIGGERS = ("initial", "power_delta", "energy", "silence", "window", "final")
 INITIAL, POWER_DELTA, ENERGY, SILENCE, WINDOW, FINAL = range(len(TRIGGERS))
+
+_KERNEL_SOURCE = Path(__file__).with_name("_event_kernel.c")
+# no -ffast-math and no FMA contraction: results must round like the Python loop
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +58,8 @@ class ReadingStream:
     segment_end: int
 
     def __post_init__(self):
-        for name, dtype in (
-            ("timestamps", np.int64),
-            ("triggers", np.uint8),
-            ("energy_ws", np.float64),
-            ("power_w", np.float64),
-        ):
+        for name, dtype in (("timestamps", np.int64), ("triggers", np.uint8),
+                            ("energy_ws", np.float64), ("power_w", np.float64)):
             column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -69,23 +80,20 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     if delta_t != int(delta_t) or int(delta_t) < 1:
         raise ValueError("delta_t must be an integer >= 1")
     delta_t = int(delta_t)
-    ts = segment.timestamps
-    pw = segment.powers
+    ts, pw = segment.timestamps, segment.powers
     start, end = segment.start, segment.end
-    # clamped so huge periods fit int64; any period past the end gives one final reading
-    step = min(delta_t, segment.duration + 1)
-
-    edges = np.arange(start + step, end + step, step, dtype=np.int64)
-    if edges[-1] > end:
-        edges[-1] = end
-    stamps = np.concatenate(([start], edges))
+    full, partial = divmod(segment.duration, delta_t)
+    # edges start + delta_t * k in wrapping uint64: exact, as each edge fits int64
+    offsets = np.arange(1, full + 1, dtype=np.uint64) * np.uint64(min(delta_t, segment.duration))
+    edges = (offsets + np.uint64(start % 2**64)).view(np.int64)
+    stamps = np.concatenate(([start], edges, np.array([end] if partial else [], np.int64)))
     bounds = np.searchsorted(ts, stamps)
     # cumulative-sum differences telescope, so the stream conserves energy
     # exactly even when individual windows are empty
-    csum = np.concatenate(([0.0], np.cumsum(pw * float(segment.nominal_resolution))))
+    csum = np.concatenate(([0.0], np.cumsum(pw)))
     energies = np.concatenate(([0.0], csum[bounds[1:]] - csum[bounds[:-1]]))
     powers_at = pw[np.searchsorted(ts, stamps, side="right") - 1]
-    triggers = np.where((stamps - start) % step == 0, WINDOW, FINAL)
+    triggers = np.where(np.arange(len(stamps)) > full, FINAL, WINDOW)
     triggers[0] = INITIAL
     return ReadingStream(stamps, triggers, energies, powers_at, f"time:dt={delta_t}", start, end)
 
@@ -105,43 +113,58 @@ def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     in that priority order. Firing emits a reading carrying the accumulated
     energy and resets all three state variables, including the power
     reference, regardless of which trigger fired. Residual energy is flushed
-    as a "final" reading at the segment end.
+    as a "final" reading at the segment end. The scan runs in C.
     """
-    ts = segment.timestamps.tolist()
-    pw = segment.powers.tolist()
+    ts, pw = segment.timestamps, segment.powers
     start, end = segment.start, segment.end
-    hold = float(segment.nominal_resolution)
-    power_delta_w = th.power_delta_w
-    energy_ws = th.energy_wh * SECONDS_PER_HOUR  # inf stays inf
-    silence = th.max_silence_s
+    silence, n = th.max_silence_s, len(ts)
+    # 0 turns silence off; a period past the span never fires, so huge ones never reach ctypes
+    enabled = silence is not None and silence <= int(ts[-1]) - int(ts[0])
+    idx, codes, energy = np.empty(n, np.int64), np.empty(n, np.uint8), np.empty(n)
+    count = _event_kernel()(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
+                            math.ceil(silence) if enabled else 0, idx, codes, energy)
+    idx = idx[:count]  # the buffers' untouched tails are never copied
+    strategy = f"event:dp={th.power_delta_w},e_wh={th.energy_wh},silence={silence}"
+    return ReadingStream(np.concatenate(([start], ts[idx], [end])),
+                         np.concatenate(([INITIAL], codes[:count], [FINAL])),
+                         np.concatenate(([0.0], energy[:count + 1])),
+                         np.concatenate(([pw[0]], pw[idx], [pw[-1]])), strategy, start, end)
 
-    stamps, triggers, energies, powers = [start], [INITIAL], [0.0], [pw[0]]
-    t_last, p_ref, acc = start, pw[0], 0.0
-    for i in range(1, len(ts)):
-        t = ts[i]
-        p = pw[i]
-        acc += pw[i - 1] * hold
-        if abs(p - p_ref) >= power_delta_w:
-            trigger = POWER_DELTA
-        elif acc >= energy_ws:
-            trigger = ENERGY
-        elif silence is not None and t - t_last >= silence:
-            trigger = SILENCE
-        else:
-            continue
-        stamps.append(t)
-        triggers.append(trigger)
-        energies.append(acc)
-        powers.append(p)
-        t_last, p_ref, acc = t, p, 0.0
-    acc += pw[-1] * hold
-    stamps.append(end)
-    triggers.append(FINAL)
-    energies.append(acc)
-    powers.append(pw[-1])
 
-    strategy = f"event:dp={power_delta_w},e_wh={th.energy_wh},silence={silence}"
-    return ReadingStream(stamps, triggers, energies, powers, strategy, start, end)
+@functools.cache
+def _event_kernel():
+    """The compiled scan of ``_event_kernel.c``, built into the cache with
+    cc unless the cache holds a build of the same source, flags and machine
+    type. Raises MeterDeltaError when the build cannot run or fails."""
+    import hashlib
+    import subprocess  # imported here: together they add 10 ms to every import
+
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + repr((_CFLAGS, platform.machine())).encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "meterdelta"
+    lib = cache / f"event_kernel-{key.hexdigest()}.so"
+    if not lib.exists():
+        # one temporary file per process and thread, so concurrent builds never share one
+        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            try:
+                done = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _KERNEL_SOURCE], capture_output=True)
+                if done.returncode != 0:
+                    message = done.stderr.decode(errors="replace").strip()
+                    raise MeterDeltaError(f"C compiler 'cc' failed on {_KERNEL_SOURCE}: {message}")
+                os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        except OSError as exc:  # no cc on PATH, or a cache directory that cannot be written
+            raise MeterDeltaError(f"cannot build the event kernel with C compiler 'cc' "
+                                  f"in {cache}: {exc}") from None
+    kernel = ctypes.CDLL(str(lib)).event_scan
+    column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
+    kernel.argtypes = [column(np.int64), column(np.float64), ctypes.c_int64, ctypes.c_double,
+                       ctypes.c_double, ctypes.c_uint64, column(np.int64), column(np.uint8),
+                       column(np.float64)]
+    kernel.restype = ctypes.c_int64
+    return kernel
 
 
 def message_count(stream: ReadingStream) -> int:

@@ -44,7 +44,6 @@ class PowerTrace:
 
     timestamps: np.ndarray
     powers: np.ndarray
-    nominal_resolution: int = 1
 
     def __post_init__(self):
         ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
@@ -72,7 +71,7 @@ class PowerTrace:
     @property
     def end(self) -> int:
         """Exclusive end of coverage: one hold interval past the last sample."""
-        return int(self.timestamps[-1]) + self.nominal_resolution
+        return int(self.timestamps[-1]) + 1
 
     @property
     def duration(self) -> int:
@@ -80,15 +79,11 @@ class PowerTrace:
 
     @property
     def total_energy_ws(self) -> float:
-        return float(self.powers.sum()) * self.nominal_resolution
+        return float(self.powers.sum())
 
     @property
     def total_energy_wh(self) -> float:
         return self.total_energy_ws / SECONDS_PER_HOUR
-
-    @property
-    def samples(self) -> list[tuple[int, float]]:
-        return list(zip(self.timestamps.tolist(), self.powers.tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     Raises:
         EmptyInputError: raw contains no samples.
         NonFiniteError: any timestamp or power is NaN or infinite.
-        TimestampRangeError: any timestamp falls outside the int64 range.
+        TimestampRangeError: any timestamp falls outside [-2**63, 2**63 - 1).
         NegativePowerError: any power is below zero.
     """
     samples = _as_samples(raw)
@@ -174,6 +169,8 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     if (pw < 0).any():
         row = int(np.argmax(pw < 0))
         raise NegativePowerError(int(ts[row]), float(pw[row]))
+    if ts.max() == 2**63 - 1:  # its hold interval [t, t + 1) would end past int64
+        raise TimestampRangeError(2**63 - 1)
     samples = _last_value_wins(samples)
     return PowerTrace(samples["timestamp"], samples["power"])
 
@@ -181,7 +178,7 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
 def trace_stats(trace: PowerTrace) -> TraceStats:
     """Compute :class:`TraceStats` for a validated trace."""
     step = np.diff(trace.timestamps)
-    adjacent = step == trace.nominal_resolution
+    adjacent = step == 1
     if adjacent.any():
         peak_variation = float(np.abs(np.diff(trace.powers))[adjacent].max())
     else:
@@ -195,7 +192,7 @@ def trace_stats(trace: PowerTrace) -> TraceStats:
         mean_daily_energy_wh=total_energy_wh / (duration / SECONDS_PER_DAY),
         coverage=len(trace) / duration,
         duration_s=duration,
-        gap_count=int(np.count_nonzero(step > trace.nominal_resolution)),
+        gap_count=int(np.count_nonzero(step > 1)),
     )
 
 
@@ -208,7 +205,7 @@ def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
     cuts = np.flatnonzero(np.diff(trace.timestamps) > max_gap) + 1
     bounds = [0, *cuts.tolist(), len(trace)]
     return [
-        PowerTrace(trace.timestamps[a:b], trace.powers[a:b], trace.nominal_resolution)
+        PowerTrace(trace.timestamps[a:b], trace.powers[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 
@@ -219,7 +216,7 @@ def merge_segments(segments: Sequence[PowerTrace]) -> PowerTrace:
         raise EmptyInputError("no segments")
     ts = np.concatenate([s.timestamps for s in segments])
     pw = np.concatenate([s.powers for s in segments])
-    return PowerTrace(ts, pw, segments[0].nominal_resolution)
+    return PowerTrace(ts, pw)
 
 
 def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:
@@ -230,7 +227,7 @@ def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:
     raises DegenerateTraceError.
     """
     step = np.diff(trace.timestamps)
-    adjacent = step == trace.nominal_resolution
+    adjacent = step == 1
     if not adjacent.any():
         raise DegenerateTraceError("no pair of samples exactly one resolution step apart")
     diffs = np.abs(np.diff(trace.powers))[adjacent]

@@ -2,6 +2,12 @@ import pytest
 
 from meterdelta import segment_trace, validate_trace
 
+
+def trace_samples(trace):
+    """A trace's samples as (timestamp, power) tuples of Python numbers."""
+    return list(zip(trace.timestamps.tolist(), trace.powers.tolist()))
+
+
 # two-step fixture used throughout: 400 W jumps at t=3 and t=5
 TRACE_A_POWERS = [100, 100, 100, 500, 500, 100, 100, 100, 100, 100]
 

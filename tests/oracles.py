@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately brute force: per-second walks over the wall
-clock and from-scratch slice sums, sharing no code path or running state
-with the samplers under test. Traces produced by the generators carry
+The brute-force oracles are per-second walks over the wall clock and
+from-scratch slice sums, sharing no code path or running state with the
+samplers under test. Traces produced by the step generators carry
 integer-valued powers so that both routes compute exact float sums and
-reading-for-reading comparison can demand strict equality.
+reading-for-reading comparison can demand strict equality. The
+python_event_readings loop instead repeats the event sampler's own float
+operations, so it can demand bit equality on any powers.
 """
 from __future__ import annotations
 
@@ -87,6 +89,53 @@ def brute_force_event_readings(timestamps, powers, power_delta_w, energy_wh, max
     acc = float(per_second[t_last - start :].sum())
     readings.append((end, "final", acc, pw[-1]))
     return readings
+
+
+def python_event_readings(segment, th):
+    """The send-on-delta scan as a plain Python loop over one segment.
+
+    This is the loop the library ran before the scan was compiled, kept as
+    the exact-float reference: the kernel must perform the same float
+    operations in the same order, so every column must match bit for bit,
+    on non-integer powers too. Returns a ReadingStream.
+    """
+    from meterdelta.sampler import ENERGY, FINAL, INITIAL, POWER_DELTA, SILENCE, ReadingStream
+    from meterdelta.trace import SECONDS_PER_HOUR
+
+    ts = segment.timestamps.tolist()
+    pw = segment.powers.tolist()
+    start, end = segment.start, segment.end
+    power_delta_w = th.power_delta_w
+    energy_ws = th.energy_wh * SECONDS_PER_HOUR  # inf stays inf
+    silence = th.max_silence_s
+
+    stamps, triggers, energies, powers = [start], [INITIAL], [0.0], [pw[0]]
+    t_last, p_ref, acc = start, pw[0], 0.0
+    for i in range(1, len(ts)):
+        t = ts[i]
+        p = pw[i]
+        acc += pw[i - 1]
+        if abs(p - p_ref) >= power_delta_w:
+            trigger = POWER_DELTA
+        elif acc >= energy_ws:
+            trigger = ENERGY
+        elif silence is not None and t - t_last >= silence:
+            trigger = SILENCE
+        else:
+            continue
+        stamps.append(t)
+        triggers.append(trigger)
+        energies.append(acc)
+        powers.append(p)
+        t_last, p_ref, acc = t, p, 0.0
+    acc += pw[-1]
+    stamps.append(end)
+    triggers.append(FINAL)
+    energies.append(acc)
+    powers.append(pw[-1])
+
+    strategy = f"event:dp={power_delta_w},e_wh={th.energy_wh},silence={silence}"
+    return ReadingStream(stamps, triggers, energies, powers, strategy, start, end)
 
 
 def brute_force_time_readings(timestamps, powers, delta_t):

@@ -159,6 +159,23 @@ def test_sample_time_readings_csv(trace_a_file, capsys):
     assert lines[3] == "10,window,0.138889,100.00"  # 500 Ws
 
 
+def test_sample_at_the_top_of_int64(tmp_path, capsys):
+    edge = tmp_path / "edge.dat"
+    edge.write_text("9223372036854775800 100\n9223372036854775806 200\n")
+    assert main(["sample", "--input", str(edge), "--strategy", "time", "--delta-t", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "9223372036854775800,initial,0.000000,100.00",
+        "9223372036854775805,window,0.027778,100.00",
+        "9223372036854775807,final,0.055556,200.00",
+    ]
+    top = tmp_path / "top.dat"
+    top.write_text("9223372036854775800 100\n9223372036854775807 200\n")
+    for strategy in (["time", "--delta-t", "5"], ["event", "--delta-p", "50"]):
+        assert main(["sample", "--input", str(top), "--strategy", *strategy]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: timestamp 9223372036854775807") and "Traceback" not in err
+
+
 def test_sample_event_derives_thresholds_when_unset(trace_a_file, capsys):
     code = main(
         ["sample", "--input", str(trace_a_file), "--strategy", "event",

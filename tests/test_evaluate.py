@@ -29,6 +29,7 @@ from meterdelta.errors import (
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
+from conftest import trace_samples
 from oracles import random_gappy_trace, random_step_trace, random_thresholds
 
 
@@ -55,7 +56,7 @@ def test_reconstruct_single_interval_average(segment_a):
 
 def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     stream = sample_time_based(constant_segment, 2)
-    shifted = one_segment([(t + 1, p) for t, p in segment_a.samples])
+    shifted = one_segment([(t + 1, p) for t, p in trace_samples(segment_a)])
     with pytest.raises(MismatchedSegmentError):
         reconstruct(stream, shifted)
 
@@ -100,7 +101,7 @@ def test_nmae_zero_energy_segment_rejected():
 
 def test_nmae_grid_mismatch_rejected(segment_a, constant_segment):
     recon = reconstruct(sample_time_based(segment_a, 2), segment_a)
-    shifted = one_segment([(t + 1, p) for t, p in constant_segment.samples])
+    shifted = one_segment([(t + 1, p) for t, p in trace_samples(constant_segment)])
     with pytest.raises(MismatchedSegmentError):
         nmae(shifted, recon)
 
@@ -109,10 +110,10 @@ def test_nmae_invariant_under_uniform_rescaling(segment_a):
     stream = sample_time_based(segment_a, 3)
     base = nmae(segment_a, reconstruct(stream, segment_a))
     for k in (2.0, 0.5):
-        seg_k = one_segment([(t, p * k) for t, p in segment_a.samples])
+        seg_k = one_segment([(t, p * k) for t, p in trace_samples(segment_a)])
         value = nmae(seg_k, reconstruct(sample_time_based(seg_k, 3), seg_k))
         assert value == base
-    seg_3 = one_segment([(t, p * 3.0) for t, p in segment_a.samples])
+    seg_3 = one_segment([(t, p * 3.0) for t, p in trace_samples(segment_a)])
     value = nmae(seg_3, reconstruct(sample_time_based(seg_3, 3), seg_3))
     assert value == pytest.approx(base, rel=1e-12)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meterdelta import (
+    PowerTrace,
     Thresholds,
     message_count,
     sample_event_based,
@@ -73,6 +74,32 @@ def test_time_based_huge_dt_equals_one_window_past_the_end():
     for column in ("timestamps", "triggers", "energy_ws", "power_w"):
         assert np.array_equal(getattr(huge, column), getattr(one_window, column))
     assert [TRIGGERS[c] for c in huge.triggers] == ["initial", "final"]
+
+
+def test_time_based_windows_at_the_int64_edges():
+    # end + delta_t passes 2**63 - 1 at the top; the windows must not
+    top = [(2**63 - 8, 100.0), (2**63 - 2, 200.0)]
+    bottom = [(-(2**63), 100.0), (-(2**63) + 6, 200.0)]
+    for samples in (top, bottom):
+        ts, pw = [t for t, _ in samples], [p for _, p in samples]
+        for dt in (1, 5, 7, 8, 10**20):
+            stream = sample_time_based(one_segment(samples), dt)
+            assert stream_tuples(stream) == brute_force_time_readings(ts, pw, min(dt, 8))
+    assert stream_tuples(sample_time_based(one_segment(top), 5)) == [
+        (2**63 - 8, "initial", 0.0, 100.0),
+        (2**63 - 3, "window", 100.0, 100.0),
+        (2**63 - 1, "final", 200.0, 200.0),
+    ]
+
+
+def test_time_based_window_edges_past_half_the_int64_range():
+    # one segment spanning more than 2**63 seconds: start + delta_t * k must
+    # not wrap on the way
+    seg = PowerTrace(np.array([-(2**63), 2**63 - 2]), np.array([1.0, 2.0]))
+    stream = sample_time_based(seg, 2**63)
+    assert stream.timestamps.tolist() == [-(2**63), 0, 2**63 - 1]
+    assert [TRIGGERS[c] for c in stream.triggers] == ["initial", "window", "final"]
+    assert stream.energy_ws.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_time_based_rejects_bad_dt(segment_a):

@@ -19,6 +19,7 @@ from meterdelta.errors import (
     NonFiniteError,
     TimestampRangeError,
 )
+from conftest import trace_samples
 from oracles import random_gappy_trace, random_step_trace
 
 
@@ -38,7 +39,7 @@ def test_validate_sorts_out_of_order():
 def test_validate_duplicates_keep_last(caplog):
     with caplog.at_level("WARNING"):
         trace = validate_trace([(0, 100.0), (0, 200.0), (1, 100.0)])
-    assert trace.samples == [(0, 200.0), (1, 100.0)]
+    assert trace_samples(trace) == [(0, 200.0), (1, 100.0)]
     assert "duplicate" in caplog.text
 
 
@@ -49,7 +50,7 @@ def test_validate_duplicates_oracle_over_permutations():
         for t, p in perm:
             last_wins[t] = p
         expected = sorted(last_wins.items())
-        assert validate_trace(list(perm)).samples == expected
+        assert trace_samples(validate_trace(list(perm))) == expected
 
 
 def test_validate_truncates_fractional_timestamps():
@@ -86,6 +87,14 @@ def test_validate_rejects_timestamps_outside_int64():
         validate_trace([(2**63 + 10, 1.0), (2**64, 2.0), (5, 3.0)])
     assert err.value.timestamp == 2**63 + 10
     assert "9223372036854775818" in str(err.value)
+
+
+def test_validate_rejects_the_top_int64_timestamp():
+    # a sample at 2**63 - 1 holds its power until 2**63, past int64
+    with pytest.raises(TimestampRangeError) as err:
+        validate_trace([(5, 1.0), (2**63 - 1, 2.0)])
+    assert err.value.timestamp == 2**63 - 1
+    assert validate_trace([(2**63 - 2, 1.0)]).end == 2**63 - 1
 
 
 def test_stats_trace_a(trace_a):
