@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -264,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerant", action="store_true",
                         help="skip unparseable lines instead of failing")
     common.add_argument("--out", default=None, metavar="DIR")
+    common.add_argument("--log-level", default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"))
     grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
     common.add_argument("--p-percent", default=grid, metavar="LIST")
     common.add_argument("--e-percent", default=grid, metavar="LIST")
@@ -293,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(message)s")
     try:
         _check(args)
         return COMMANDS[args.command][0](args)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .sampler import ReadingStream, message_count, sample_event_based, sample_time_based
 from .thresholds import Thresholds, ThresholdSpec, threshold_grid
-from .trace import PowerTrace, TraceStats, merge_segments, trace_stats
+from .trace import PowerTrace, TraceStats, _steps, merge_segments, trace_stats
 
 DEFAULT_DT_GRID = (10, 30, 60, 300, 600, 900, 1800, 3600, 7200)
 COMPRESSION_REFERENCE_DT = 10
@@ -52,6 +52,17 @@ class SweepResult:
     event_based: tuple[EvalResult, ...]
 
 
+def _held_powers(stream: ReadingStream, segment: PowerTrace) -> np.ndarray:
+    """The powers of reconstruct(stream, segment), without building a trace."""
+    reading_ts = stream.timestamps
+    ends = (stream.segment_start, stream.segment_end, int(reading_ts[0]), int(reading_ts[-1]))
+    if ends != (segment.start, segment.end) * 2:
+        raise MismatchedSegmentError(f"stream of [{ends[0]}, {ends[1]}) with readings {ends[2]}.."
+                                     f"{ends[3]} does not fit segment [{segment.start}, {segment.end})")
+    interval_power = stream.energy_ws[1:] / _steps(reading_ts).astype(np.float64)
+    return np.repeat(interval_power, np.diff(np.searchsorted(segment.timestamps, reading_ts)))
+
+
 def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     """Rebuild the average-power signal a receiver would infer from a stream.
 
@@ -60,17 +71,7 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     shares the segment's timestamps, so it sits on the same present-sample
     grid. The stream must have been produced from the given segment.
     """
-    if stream.segment_start != segment.start or stream.segment_end != segment.end:
-        raise MismatchedSegmentError(
-            f"stream covers [{stream.segment_start}, {stream.segment_end}), "
-            f"segment covers [{segment.start}, {segment.end})"
-        )
-    reading_ts = stream.timestamps
-    if reading_ts[0] < segment.start or reading_ts[-1] > segment.end:
-        raise MismatchedSegmentError("stream timestamps fall outside the segment")
-    interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
-    idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
-    return PowerTrace(segment.timestamps, interval_power[idx])
+    return PowerTrace(segment.timestamps, _held_powers(stream, segment))
 
 
 def _residual(original: PowerTrace, reconstructed: PowerTrace) -> np.ndarray:
@@ -112,13 +113,10 @@ def compression_ratio(reference_count: int, candidate_count: int) -> float:
 def _pooled_score(segments: Sequence[PowerTrace], streams: Sequence[ReadingStream]) -> tuple[float, int]:
     """NMAE pooled across segments (numerators and denominators summed
     before the division) plus the total message count."""
-    numerator = denominator = 0.0
-    count = 0
-    for seg, stream in zip(segments, streams):
-        n, d = error_components(seg, reconstruct(stream, seg))
-        numerator += n
-        denominator += d
-        count += message_count(stream)
+    numerator = sum(float(np.abs(seg.powers - _held_powers(stream, seg)).sum())
+                    for seg, stream in zip(segments, streams))
+    denominator = sum(seg.total_energy_ws for seg in segments)
+    count = sum(map(message_count, streams))
     if denominator <= 0:
         raise ZeroEnergySegmentError("trace powers sum to zero")
     return numerator / denominator, count

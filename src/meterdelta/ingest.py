@@ -13,6 +13,8 @@ import csv
 import functools
 import logging
 import math
+import warnings
+from contextlib import suppress
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
-from .trace import _as_samples, _last_value_wins, _sample_array
+from .trace import SAMPLE_DTYPE, _as_samples, _last_value_wins, _sample_array
 
 log = logging.getLogger(__name__)
 
@@ -87,8 +89,18 @@ def load_redd_channel(source, *, tolerant: bool = False) -> np.ndarray:
 
     Strict mode raises ParseError at the first malformed line. Tolerant mode
     skips malformed lines and logs their line numbers. Blank lines are
-    skipped; CRLF endings are accepted.
+    skipped; CRLF endings are accepted. A path is read by np.loadtxt; if that
+    raises, warns, or finds no row or a non-finite power, the line parser,
+    the only error reporter, reads the file again.
     """
+    if isinstance(source, (str, Path)):
+        with suppress(ValueError, OSError), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples = np.loadtxt(source, dtype=SAMPLE_DTYPE, comments=None, ndmin=1,
+                                 encoding="utf-8")
+            if not caught and samples.size and np.isfinite(samples["power"]).all():
+                return samples
+        log.debug("np.loadtxt cannot read %s; parsing it line by line", source)
     lines = (line.split() for line in _as_lines(source))
     return _collect(_numbered(lines, 1), _parse_channel_line, tolerant, "lines")
 

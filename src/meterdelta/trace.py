@@ -175,9 +175,14 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     return PowerTrace(samples["timestamp"], samples["power"])
 
 
+def _steps(timestamps: np.ndarray) -> np.ndarray:
+    """Differences of increasing timestamps, exact on the uint64 view even 2**63 s apart."""
+    return np.diff(timestamps.view(np.uint64))
+
+
 def trace_stats(trace: PowerTrace) -> TraceStats:
     """Compute :class:`TraceStats` for a validated trace."""
-    step = np.diff(trace.timestamps)
+    step = _steps(trace.timestamps)
     adjacent = step == 1
     if adjacent.any():
         peak_variation = float(np.abs(np.diff(trace.powers))[adjacent].max())
@@ -202,7 +207,7 @@ def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
     order; each covers [start, end) with end exclusive."""
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
-    cuts = np.flatnonzero(np.diff(trace.timestamps) > max_gap) + 1
+    cuts = np.flatnonzero(_steps(trace.timestamps) > max_gap) + 1
     bounds = [0, *cuts.tolist(), len(trace)]
     return [
         PowerTrace(trace.timestamps[a:b], trace.powers[a:b])
@@ -226,8 +231,7 @@ def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:
     zeros rather than failing; a trace with no adjacent sample pair at all
     raises DegenerateTraceError.
     """
-    step = np.diff(trace.timestamps)
-    adjacent = step == 1
+    adjacent = _steps(trace.timestamps) == 1
     if not adjacent.any():
         raise DegenerateTraceError("no pair of samples exactly one resolution step apart")
     diffs = np.abs(np.diff(trace.powers))[adjacent]

@@ -6,7 +6,9 @@ samplers under test. Traces produced by the step generators carry
 integer-valued powers so that both routes compute exact float sums and
 reading-for-reading comparison can demand strict equality. The
 python_event_readings loop instead repeats the event sampler's own float
-operations, so it can demand bit equality on any powers.
+operations, so it can demand bit equality on any powers, and
+indexed_held_powers is reconstruct's former index route, with the same
+bit-equality demand on held powers.
 """
 from __future__ import annotations
 
@@ -136,6 +138,16 @@ def python_event_readings(segment, th):
 
     strategy = f"event:dp={power_delta_w},e_wh={th.energy_wh},silence={silence}"
     return ReadingStream(stamps, triggers, energies, powers, strategy, start, end)
+
+
+def indexed_held_powers(stream, segment):
+    """Each sample's reconstructed power, looked up the way reconstruct did
+    before it repeated interval powers: searchsorted finds the reading
+    interval [t0, t1) holding every sample. Returns a float64 array."""
+    reading_ts = stream.timestamps
+    interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
+    idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
+    return interval_power[idx]
 
 
 def brute_force_time_readings(timestamps, powers, delta_t):

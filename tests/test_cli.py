@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from meterdelta.cli import main
 
 from conftest import TRACE_A_POWERS
 from oracles import random_gappy_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -116,6 +121,34 @@ def test_tolerant_flag_recovers(tmp_path, capsys):
     f.write_text("0 100\nnot a line\n1 100\n")
     assert main(["stats", "--input", str(f)]) == 1
     assert main(["stats", "--input", str(f), "--tolerant"]) == 0
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, whose logging nothing has configured yet."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "meterdelta.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_log_level_selects_the_records_on_stderr(tmp_path):
+    f = tmp_path / "bad.dat"
+    f.write_text("0 100\nnot a line\n1 100\n")
+    stats = ["stats", "--input", str(f), "--tolerant"]
+    skipped = "skipped 1 unparseable lines: 2\n"
+    default = run_cli(*stats)
+    assert default.returncode == 0
+    assert default.stderr == skipped  # as Python's last-resort handler wrote it
+    debug = run_cli(*stats, "--log-level", "DEBUG")
+    assert debug.stderr == f"np.loadtxt cannot read {f}; parsing it line by line\n" + skipped
+    assert run_cli(*stats, "--log-level", "ERROR").stderr == ""
+
+
+def test_empty_channel_file_writes_one_error_line(tmp_path):
+    f = tmp_path / "empty.dat"
+    f.write_text("\n")
+    done = run_cli("stats", "--input", str(f))
+    assert (done.returncode, done.stderr) == (1, "error: no parseable samples in input\n")
 
 
 def test_diffdist_stdout(trace_a_file, capsys):

@@ -7,6 +7,7 @@ from meterdelta import (
     DEFAULT_DT_GRID,
     DEFAULT_PERCENT_GRID,
     PowerTrace,
+    ReadingStream,
     ThresholdSpec,
     Thresholds,
     compression_ratio,
@@ -29,8 +30,11 @@ from meterdelta.errors import (
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
+from meterdelta.evaluate import _held_powers, _pooled_score
+from meterdelta.sampler import SILENCE
 from conftest import trace_samples
-from oracles import random_gappy_trace, random_step_trace, random_thresholds
+from oracles import (indexed_held_powers, random_gappy_trace, random_step_trace,
+                     random_thresholds)
 
 
 def one_segment(samples):
@@ -59,6 +63,55 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     shifted = one_segment([(t + 1, p) for t, p in trace_samples(segment_a)])
     with pytest.raises(MismatchedSegmentError):
         reconstruct(stream, shifted)
+    # readings that start after the segment start leave its first samples uncovered
+    full = sample_time_based(segment_a, 2)
+    late = ReadingStream(full.timestamps[1:], full.triggers[1:], full.energy_ws[1:],
+                         full.power_w[1:], full.strategy, full.segment_start, full.segment_end)
+    with pytest.raises(MismatchedSegmentError):
+        reconstruct(late, segment_a)
+
+
+def scoring_cases():
+    """(segments, streams) pairs: gappy traces with 2-decimal powers cut into
+    many segments, one of them a single sample, under periods from 1 s to
+    longer than any segment and under event thresholds with silence."""
+    rng = np.random.default_rng(1807)
+    thresholds = (Thresholds(300.0, 5.0), Thresholds(math.inf, 2.5, 30),
+                  Thresholds(150.0, math.inf, 7), Thresholds(math.inf, math.inf, 5))
+    for _ in range(6):
+        samples = random_gappy_trace(rng, length=600, max_power=500_000, gap_chance=0.03,
+                                     max_gap=120)
+        samples = [(t, p / 100) for t, p in samples] + [(samples[-1][0] + 500, 123.45)]
+        segments = segment_trace(validate_trace(samples), max_gap=60)
+        assert len(segments) > 2 and len(segments[-1]) == 1
+        for dt in (1, 7, 60, 10**6):
+            yield segments, [sample_time_based(s, dt) for s in segments]
+        for th in thresholds:
+            yield segments, [sample_event_based(s, th) for s in segments]
+
+
+def test_held_powers_and_pooled_score_match_the_index_route():
+    silences = 0
+    for segments, streams in scoring_cases():
+        num = den = 0.0
+        for seg, stream in zip(segments, streams):
+            expected = indexed_held_powers(stream, seg)
+            assert _held_powers(stream, seg).tobytes() == expected.tobytes()
+            assert reconstruct(stream, seg).powers.tobytes() == expected.tobytes()
+            n, d = error_components(seg, PowerTrace(seg.timestamps, expected))
+            num += n
+            den += d
+            silences += int(np.count_nonzero(stream.triggers == SILENCE))
+        count = sum(message_count(s) for s in streams)
+        assert _pooled_score(segments, streams) == (num / den, count)
+    assert silences > 0
+
+
+def test_reconstruct_across_the_whole_int64_range():
+    # one reading interval of 2**64 - 1 s, which an int64 difference wraps to -1
+    (seg,) = segment_trace(validate_trace([(-(2**63), 3.0), (2**63 - 2, 5.0)]), max_gap=2**64)
+    recon = reconstruct(sample_time_based(seg, 2**64), seg)
+    assert recon.powers.tolist() == [8.0 / 2.0**64] * 2
 
 
 def test_reconstruction_conserves_energy():

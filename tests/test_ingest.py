@@ -252,3 +252,105 @@ def test_house_loader_modes(house_dir):
     assert load_redd_house(house_dir, mains="second").tolist() == [(0, 50.0), (1, 60.0)]
     with pytest.raises(ValueError):
         load_redd_house(house_dir, mains="bogus")
+
+
+# Each case is parsed by load_redd_channel from a path, where np.loadtxt
+# reads first, and by the line parser alone, from an open text stream.
+PARSER_CORPUS = {
+    "plain": b"1303132930 222.02\n1303132931 221.97\n",
+    "underscore_timestamp": b"1_000 5\n",
+    "underscore_power": b"1 1_0\n",
+    "nan_power": b"0 1\n1 nan\n2 3\n",
+    "inf_power": b"0 1\n1 inf\n2 3\n",
+    "INF_power": b"1 INF\n",
+    "Infinity_power": b"1 -Infinity\n",
+    "overflowing_exponent": b"1 1e400\n",
+    "400_digit_power": b"1 " + b"9" * 400 + b"\n",
+    "400_digit_fraction": b"1 0." + b"0" * 396 + b"1234\n",
+    "fractional_timestamp": b"1.5 2\n",
+    "float_timestamp": b"5.0 2\n",
+    "exponent_timestamp": b"1e3 2\n",
+    "comment_line": b"# header\n0 1\n",
+    "trailing_comment": b"0 1 # watts\n",
+    "one_field": b"0 1\n1\n2 3\n",
+    "three_fields": b"0 1\n1 2 3\n2 3\n",
+    "timestamp_2_63": b"9223372036854775808 1\n",
+    "timestamp_minus_2_63": b"-9223372036854775808 1\n",
+    "timestamp_2_63_minus_1": b"9223372036854775807 1\n",
+    "timestamp_below_int64": b"-9223372036854775809 1\n",
+    "crlf": b"0 1.5\r\n1 2.5\r\n",
+    "tabs": b"0\t1\n1 \t 2\n",
+    "blank_lines": b"\n0 1\n\n  \t\n1 2\n\n",
+    "leading_plus": b"+5 +1.5\n",
+    "exponents": b"1 1e3\n2 1E-3\n3 .5\n4 5.\n",
+    "not_utf8": b"0 1\n1 2\n\xff 3\n",
+    "arabic_indic_digits": "\u0661\u0662 \u0663\n".encode(),
+    "fullwidth_digits": "\uff11\uff12 \uff13\n".encode(),
+    "utf8_bom": b"\xef\xbb\xbf0 1\n1 2\n",
+    "empty": b"",
+    "newlines_only": b"\n\n\n",
+    "bare_cr": b"0 1\r1 2\r",
+    "mixed_line_ends": b"0 1\r\n1 2\n2 3\r",
+    "next_line_inside": "0 1\u00852\n".encode(),
+    "line_separator_inside": "0 1\u20282\n".encode(),
+    "next_line_as_separator": "0\u00851\n".encode(),
+    "line_separator_as_separator": "0\u20281\n".encode(),
+    "negative_zero": b"-0 -0.0\n",
+    "hex_power": b"1 0x10\n",
+    "no_final_newline": b"0 1\n1 2",
+}
+
+
+def _outcome(parse):
+    try:
+        samples = parse()
+    except Exception as exc:  # the comparison covers every error type
+        return type(exc), str(exc)
+    return samples.dtype, samples.tobytes()
+
+
+@pytest.mark.parametrize("tolerant", [False, True])
+@pytest.mark.parametrize("name", sorted(PARSER_CORPUS))
+def test_path_parse_equals_line_parser(tmp_path, caplog, name, tolerant):
+    f = tmp_path / f"{name}.dat"
+    f.write_bytes(PARSER_CORPUS[name])
+    with caplog.at_level("WARNING"):
+        fast = _outcome(lambda: load_redd_channel(f, tolerant=tolerant))
+        fast_log = caplog.text
+        caplog.clear()
+        with open(f, encoding="utf-8", newline="") as stream:
+            lines = _outcome(lambda: load_redd_channel(stream, tolerant=tolerant))
+    assert fast == lines
+    assert fast_log == caplog.text
+
+
+def test_clean_file_never_reaches_the_line_parser(tmp_path, monkeypatch, caplog):
+    f = tmp_path / "channel_1.dat"
+    f.write_text("1303132930 222.02\n1303132931 221.97\n\n1303132933 0.1\n")
+
+    def refuse(*args):
+        raise AssertionError("line parser called")
+
+    monkeypatch.setattr("meterdelta.ingest._parse_channel_line", refuse)
+    with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
+        samples = load_redd_channel(f)
+    assert samples.tolist() == [(1303132930, 222.02), (1303132931, 221.97), (1303132933, 0.1)]
+    assert caplog.records == []
+
+
+def test_line_parser_takes_over_when_loadtxt_fails(tmp_path, monkeypatch, caplog):
+    f = tmp_path / "channel_1.dat"
+    f.write_text("1303132930 222.02\n1303132931 221.97\n\n1303132933 0.1\n")
+    expected = load_redd_channel(f)
+
+    def fail(*args, **kwargs):
+        raise ValueError("loadtxt failed")
+
+    monkeypatch.setattr("numpy.loadtxt", fail)
+    with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
+        samples = load_redd_channel(f)
+    assert samples.dtype == expected.dtype
+    assert samples.tobytes() == expected.tobytes()
+    (record,) = caplog.records
+    assert record.levelname == "DEBUG"
+    assert str(f) in record.getMessage()

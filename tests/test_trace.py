@@ -121,6 +121,17 @@ def test_stats_exclude_cross_gap_differences():
     assert s.coverage == 5 / 12
 
 
+# the middle gap is over 2**63 s wide, so its int64 difference wraps negative
+WIDE_GAP = [(-(2**63), 10.0), (-(2**63) + 1, 30.0), (2**62, 1000.0), (2**62 + 1, 1010.0)]
+
+
+def test_stats_count_a_gap_wider_than_2_63():
+    s = trace_stats(validate_trace(WIDE_GAP))
+    assert s.gap_count == 1
+    assert s.peak_variation_w == 20.0
+    assert s.duration_s == 2**62 + 2**63 + 2
+
+
 def test_stats_variation_bounded_by_peak():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -168,6 +179,12 @@ def test_segment_gap_boundary_is_inclusive():
     assert len(segment_trace(trace, max_gap=97)) == 2
 
 
+def test_segment_splits_at_a_gap_wider_than_2_63():
+    segments = segment_trace(validate_trace(WIDE_GAP), max_gap=3600)
+    assert [s.timestamps.tolist() for s in segments] == [[-(2**63), -(2**63) + 1],
+                                                        [2**62, 2**62 + 1]]
+
+
 def test_segment_rejects_bad_max_gap(trace_a):
     with pytest.raises(ValueError):
         segment_trace(trace_a, max_gap=0)
@@ -205,6 +222,11 @@ def test_diffdist_constant_is_all_zero(constant_trace):
     curve = first_difference_distribution(constant_trace)
     assert not curve.normalized_delta.any()
     assert curve.rank_percent[-1] == 1.0
+
+
+def test_diffdist_skips_a_gap_wider_than_2_63():
+    curve = first_difference_distribution(validate_trace(WIDE_GAP))
+    assert curve.normalized_delta.tolist() == [1.0, 0.5]
 
 
 def test_diffdist_degenerate():
