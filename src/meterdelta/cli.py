@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerant", action="store_true",
                         help="skip unparseable lines instead of failing")
     common.add_argument("--out", default=None, metavar="DIR")
-    common.add_argument("--log-level", default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"))
+    common.add_argument("--log-level", default="WARNING", choices=("DEBUG", "WARNING", "ERROR"))
     grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
     common.add_argument("--p-percent", default=grid, metavar="LIST")
     common.add_argument("--e-percent", default=grid, metavar="LIST")
@@ -295,13 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level, format="%(message)s")
+    log = logging.getLogger("meterdelta")  # to stderr as bare messages, for this call only
+    saved = log.handlers, log.propagate, log.level
+    log.handlers, log.propagate = [logging.StreamHandler(sys.stderr)], False
+    log.setLevel(args.log_level)
     try:
         _check(args)
         return COMMANDS[args.command][0](args)
     except (ConfigError, MeterDeltaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    finally:
+        log.handlers, log.propagate = saved[:2]
+        log.setLevel(saved[2])
 
 
 if __name__ == "__main__":

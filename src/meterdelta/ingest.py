@@ -13,7 +13,7 @@ import csv
 import functools
 import logging
 import math
-import warnings
+import os
 from contextlib import suppress
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -89,17 +89,18 @@ def load_redd_channel(source, *, tolerant: bool = False) -> np.ndarray:
 
     Strict mode raises ParseError at the first malformed line. Tolerant mode
     skips malformed lines and logs their line numbers. Blank lines are
-    skipped; CRLF endings are accepted. A path is read by np.loadtxt; if that
-    raises, warns, or finds no row or a non-finite power, the line parser,
-    the only error reporter, reads the file again.
+    skipped; CRLF endings are accepted. A regular file with a field in it is
+    read by np.loadtxt; if that raises or finds a non-finite power, the line
+    parser, the only error reporter, reads the file again.
     """
     if isinstance(source, (str, Path)):
-        with suppress(ValueError, OSError), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            samples = np.loadtxt(source, dtype=SAMPLE_DTYPE, comments=None, ndmin=1,
-                                 encoding="utf-8")
-            if not caught and samples.size and np.isfinite(samples["power"]).all():
-                return samples
+        if os.path.isfile(source):  # not a pipe, which cannot be read twice
+            with suppress(ValueError, OSError), open(source, encoding="utf-8") as fh:
+                if any(line.strip() for line in fh):  # else loadtxt warns, finding no row
+                    fh.seek(0)
+                    samples = np.loadtxt(fh, dtype=SAMPLE_DTYPE, comments=None, ndmin=1)
+                    if np.isfinite(samples["power"]).all():
+                        return samples
         log.debug("np.loadtxt cannot read %s; parsing it line by line", source)
     lines = (line.split() for line in _as_lines(source))
     return _collect(_numbered(lines, 1), _parse_channel_line, tolerant, "lines")

@@ -1,9 +1,8 @@
 import hashlib
 import json
+import logging
 import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from meterdelta.cli import main
 
 from conftest import TRACE_A_POWERS
 from oracles import random_gappy_trace
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -123,32 +120,30 @@ def test_tolerant_flag_recovers(tmp_path, capsys):
     assert main(["stats", "--input", str(f), "--tolerant"]) == 0
 
 
-def run_cli(*argv):
-    """The CLI in a fresh interpreter, whose logging nothing has configured yet."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "meterdelta.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_log_level_selects_the_records_on_stderr(tmp_path):
+def test_log_level_selects_the_records_on_stderr(tmp_path, capsys):
     f = tmp_path / "bad.dat"
     f.write_text("0 100\nnot a line\n1 100\n")
     stats = ["stats", "--input", str(f), "--tolerant"]
     skipped = "skipped 1 unparseable lines: 2\n"
-    default = run_cli(*stats)
-    assert default.returncode == 0
-    assert default.stderr == skipped  # as Python's last-resort handler wrote it
-    debug = run_cli(*stats, "--log-level", "DEBUG")
-    assert debug.stderr == f"np.loadtxt cannot read {f}; parsing it line by line\n" + skipped
-    assert run_cli(*stats, "--log-level", "ERROR").stderr == ""
+    package_log = logging.getLogger("meterdelta")
+    before = package_log.handlers[:], package_log.propagate, package_log.level
+    # each call sets its own level, whatever the previous call left
+    for level, expected in [(None, skipped),  # as Python's last-resort handler wrote it
+                            ("DEBUG", f"np.loadtxt cannot read {f}; parsing it line by line\n" + skipped),
+                            ("ERROR", ""), (None, skipped)]:
+        assert main(stats + (["--log-level", level] if level else [])) == 0
+        assert capsys.readouterr().err == expected
+        assert (package_log.handlers, package_log.propagate, package_log.level) == before
 
 
-def test_empty_channel_file_writes_one_error_line(tmp_path):
+@pytest.mark.parametrize("text", ["", "\n", " \t\r\n\u2028\u00a0\n"])
+def test_empty_channel_file_writes_one_error_line(tmp_path, capsys, text):
     f = tmp_path / "empty.dat"
-    f.write_text("\n")
-    done = run_cli("stats", "--input", str(f))
-    assert (done.returncode, done.stderr) == (1, "error: no parseable samples in input\n")
+    f.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a file without a field
+        assert main(["stats", "--input", str(f)]) == 1
+    assert capsys.readouterr().err == "error: no parseable samples in input\n"
 
 
 def test_diffdist_stdout(trace_a_file, capsys):

@@ -1,4 +1,6 @@
+import gzip
 import io
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,8 @@ PARSER_CORPUS = {
     "negative_zero": b"-0 -0.0\n",
     "hex_power": b"1 0x10\n",
     "no_final_newline": b"0 1\n1 2",
+    "unicode_spaces_only": " \t\u00a0\u2028\u3000\n\x0b\x1c\n".encode(),
+    "no_break_space_as_separator": "0\u00a01\n".encode(),
 }
 
 
@@ -354,3 +358,25 @@ def test_line_parser_takes_over_when_loadtxt_fails(tmp_path, monkeypatch, caplog
     (record,) = caplog.records
     assert record.levelname == "DEBUG"
     assert str(f) in record.getMessage()
+
+
+def test_path_is_opened_as_named(tmp_path):
+    packed = gzip.compress(b"0 1\n1 2\n")
+    (tmp_path / "channel_1.dat.gz").write_bytes(packed)
+    with pytest.raises(FileNotFoundError):  # the sibling is not read in its place
+        load_redd_channel(tmp_path / "channel_1.dat")
+    (tmp_path / "channel_2.gz").write_bytes(packed)
+    with pytest.raises(ParseError, match="not UTF-8"):  # nor is a .gz path unpacked
+        load_redd_channel(tmp_path / "channel_2.gz")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_path_is_read_once():
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"0 1\nnot a line\n" + b"".join(b"%d 2\n" % t for t in range(1, 500)))
+    os.close(write_end)
+    try:
+        samples = load_redd_channel(f"/dev/fd/{read_end}", tolerant=True)
+    finally:
+        os.close(read_end)
+    assert samples["timestamp"].tolist() == list(range(500))
