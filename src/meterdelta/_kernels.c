@@ -1,0 +1,168 @@
+/* The package's compiled kernels, built and loaded by _kernels.py. */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* Send-on-delta scan over one segment; see sampler.sample_event_based.
+ *
+ * Keeps the reference loop's order of floating-point operations exactly:
+ * book the previous sample's held energy, then test power delta, energy
+ * and silence, in that priority (codes 1, 2, 3 index sampler.TRIGGERS).
+ * silence == 0 disables the silence trigger; the unsigned subtraction is
+ * exact for any increasing pair of int64 timestamps. Writes the index,
+ * trigger code and energy of each fired reading, then the final flush
+ * energy after them, and returns the number of fired readings.
+ */
+int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
+                   double e_ws, uint64_t silence, int64_t *idx, uint8_t *code,
+                   double *energy)
+{
+    int64_t count = 0, t_last = ts[0];
+    double p_ref = pw[0], acc = 0.0;
+    for (int64_t i = 1; i < n; i++) {
+        uint8_t fired;
+        acc += pw[i - 1];
+        if (fabs(pw[i] - p_ref) >= dp)
+            fired = 1;
+        else if (acc >= e_ws)
+            fired = 2;
+        else if (silence && (uint64_t)ts[i] - (uint64_t)t_last >= silence)
+            fired = 3;
+        else
+            continue;
+        idx[count] = i;
+        code[count] = fired;
+        energy[count++] = acc;
+        t_last = ts[i];
+        p_ref = pw[i];
+        acc = 0.0;
+    }
+    energy[count] = acc + pw[n - 1];
+    return count;
+}
+
+/* One row of a trace: the layout of trace.SAMPLE_DTYPE. */
+typedef struct {
+    int64_t timestamp;
+    double power;
+} sample;
+
+/* Every power of ten that is an exact double. */
+static const double POW10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                               1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                               1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+static int blank(char c) { return c == ' ' || c == '\t'; }
+
+static int digit(char c) { return c >= '0' && c <= '9'; }
+
+/* The line after the end of line at p, or NULL if p holds none. */
+static const char *next_line(const char *p)
+{
+    if (*p == '\r')
+        p++;
+    return *p == '\n' ? p + 1 : NULL;
+}
+
+/* Channel-file scan over text of whole lines; see ingest.load_redd_channel.
+ *
+ * Each line ends in "\n" or "\r\n" and holds only spaces and tabs, or the
+ * fields "<timestamp> <power>" separated and surrounded by spaces and tabs:
+ * the timestamp [+-]?digits within int64, the power
+ * [+-]?(digits[.digits]|.digits)([eE][+-]?digits)?. A power of at most 15
+ * significant and 22 fraction digits without exponent is one correctly
+ * rounded division of two exact doubles; any other goes to strtod, kept
+ * only if strtod read the whole field (in a locale whose decimal point is
+ * not '.', it stops early) and found it finite. Writes each line's fields
+ * to out and returns the number of rows written, or -1 at the first line
+ * outside this form or when out would need more than room rows.
+ */
+int64_t scan_channel(const char *text, int64_t len, sample *out, int64_t room)
+{
+    const char *p = text, *end = text + len;
+    int64_t rows = 0;
+    /* a final '\n' stops every loop below inside text */
+    if (len < 1 || text[len - 1] != '\n')
+        return -1;
+    while (p < end) {
+        while (blank(*p))
+            p++;
+        const char *next = next_line(p);
+        if (next) {
+            p = next;
+            continue;
+        }
+        if (rows == room)
+            return -1;
+
+        int negative = *p == '-';
+        if (*p == '-' || *p == '+')
+            p++;
+        if (!digit(*p))
+            return -1;
+        uint64_t t = 0, limit = negative ? (uint64_t)INT64_MAX + 1 : INT64_MAX;
+        for (; digit(*p); p++) {
+            uint64_t d = (uint64_t)(*p - '0');
+            if (t > (limit - d) / 10)
+                return -1;
+            t = t * 10 + d;
+        }
+        if (!blank(*p))
+            return -1;
+        /* -(2^63) is -(2^63 - 1) - 1, as 2^63 is no int64 */
+        out[rows].timestamp = !negative ? (int64_t)t : t ? -(int64_t)(t - 1) - 1 : 0;
+        while (blank(*p))
+            p++;
+
+        const char *field = p;
+        negative = *p == '-';
+        if (*p == '-' || *p == '+')
+            p++;
+        uint64_t mantissa = 0;
+        int64_t significant = 0, whole = 0, fraction = 0;
+        int exponent = 0;
+        for (; digit(*p); p++, whole++)
+            if ((significant || *p != '0') && ++significant <= 15)
+                mantissa = mantissa * 10 + (uint64_t)(*p - '0');
+        if (*p == '.') {
+            for (p++; digit(*p); p++, fraction++)
+                if ((significant || *p != '0') && ++significant <= 15)
+                    mantissa = mantissa * 10 + (uint64_t)(*p - '0');
+            if (!fraction)
+                return -1;
+        }
+        if (!whole && !fraction)
+            return -1;
+        if (*p == 'e' || *p == 'E') {
+            exponent = 1;
+            p++;
+            if (*p == '-' || *p == '+')
+                p++;
+            if (!digit(*p))
+                return -1;
+            while (digit(*p))
+                p++;
+        }
+        const char *field_end = p;
+        while (blank(*p))
+            p++;
+        next = next_line(p);
+        if (!next)
+            return -1;
+
+        double power;
+        if (!exponent && significant <= 15 && fraction <= 22) {
+            power = (double)mantissa / POW10[fraction];
+            if (negative)
+                power = -power;
+        } else {
+            char *used;
+            power = strtod(field, &used);
+            if (used != field_end || !isfinite(power))
+                return -1;
+        }
+        out[rows++].power = power;
+        p = next;
+    }
+    return rows;
+}

@@ -10,7 +10,8 @@ Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
 outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
 0 success, 1 input or parse error (such as input that is not UTF-8 text),
-2 configuration error (such as a NaN percentage, or inf in both grids).
+2 configuration error (such as a NaN percentage, inf in both grids, or
+percentages so large that a cell's derived thresholds overflow to inf).
 """
 from __future__ import annotations
 
@@ -232,8 +233,11 @@ def _sweep_csv(result: SweepResult) -> str:
 
 def cmd_sweep(args) -> int:
     for trace_id, trace in _load_traces(args):
-        result = run_sweep(segment_trace(trace, args.max_gap), args.dt, args.p_percent,
-                           args.e_percent, args.spec, trace_id=trace_id)
+        try:
+            result = run_sweep(segment_trace(trace, args.max_gap), args.dt, args.p_percent,
+                               args.e_percent, args.spec, trace_id=trace_id)
+        except ValueError as exc:  # such as derived thresholds that overflow to inf
+            raise ConfigError(str(exc)) from None
         if args.emit in ("json", "both"):
             text = json.dumps(_sweep_payload(result), indent=2) + "\n"
             _emit(args, f"{trace_id}_sweep.json", text)

@@ -10,32 +10,23 @@ Energies ride in watt-seconds internally: a 1 Hz integrator's native unit,
 which keeps window sums and reconstruction exact. Divide by
 SECONDS_PER_HOUR at presentation boundaries.
 
-The send-on-delta scan is a C kernel, built with cc at the first event
-sampling call (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
+The send-on-delta scan is a C kernel from ``_kernels``, built with cc at the
+first event sampling or channel-file parse (never at import) and cached in
+$XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import platform
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MeterDeltaError
+from ._kernels import library
 from .thresholds import Thresholds
 from .trace import SECONDS_PER_HOUR, PowerTrace
 
 TRIGGERS = ("initial", "power_delta", "energy", "silence", "window", "final")
 INITIAL, POWER_DELTA, ENERGY, SILENCE, WINDOW, FINAL = range(len(TRIGGERS))
-
-_KERNEL_SOURCE = Path(__file__).with_name("_event_kernel.c")
-# no -ffast-math and no FMA contraction: results must round like the Python loop
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,50 +112,14 @@ def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     # 0 turns silence off; a period past the span never fires, so huge ones never reach ctypes
     enabled = silence is not None and silence <= int(ts[-1]) - int(ts[0])
     idx, codes, energy = np.empty(n, np.int64), np.empty(n, np.uint8), np.empty(n)
-    count = _event_kernel()(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
-                            math.ceil(silence) if enabled else 0, idx, codes, energy)
+    count = library().event_scan(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
+                                 math.ceil(silence) if enabled else 0, idx, codes, energy)
     idx = idx[:count]  # the buffers' untouched tails are never copied
     strategy = f"event:dp={th.power_delta_w},e_wh={th.energy_wh},silence={silence}"
     return ReadingStream(np.concatenate(([start], ts[idx], [end])),
                          np.concatenate(([INITIAL], codes[:count], [FINAL])),
                          np.concatenate(([0.0], energy[:count + 1])),
                          np.concatenate(([pw[0]], pw[idx], [pw[-1]])), strategy, start, end)
-
-
-@functools.cache
-def _event_kernel():
-    """The compiled scan of ``_event_kernel.c``, built into the cache with
-    cc unless the cache holds a build of the same source, flags and machine
-    type. Raises MeterDeltaError when the build cannot run or fails."""
-    import hashlib
-    import subprocess  # imported here: together they add 10 ms to every import
-
-    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + repr((_CFLAGS, platform.machine())).encode())
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "meterdelta"
-    lib = cache / f"event_kernel-{key.hexdigest()}.so"
-    if not lib.exists():
-        # one temporary file per process and thread, so concurrent builds never share one
-        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            try:
-                done = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _KERNEL_SOURCE], capture_output=True)
-                if done.returncode != 0:
-                    message = done.stderr.decode(errors="replace").strip()
-                    raise MeterDeltaError(f"C compiler 'cc' failed on {_KERNEL_SOURCE}: {message}")
-                os.replace(tmp, lib)
-            finally:
-                tmp.unlink(missing_ok=True)
-        except OSError as exc:  # no cc on PATH, or a cache directory that cannot be written
-            raise MeterDeltaError(f"cannot build the event kernel with C compiler 'cc' "
-                                  f"in {cache}: {exc}") from None
-    kernel = ctypes.CDLL(str(lib)).event_scan
-    column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
-    kernel.argtypes = [column(np.int64), column(np.float64), ctypes.c_int64, ctypes.c_double,
-                       ctypes.c_double, ctypes.c_uint64, column(np.int64), column(np.uint8),
-                       column(np.float64)]
-    kernel.restype = ctypes.c_int64
-    return kernel
 
 
 def message_count(stream: ReadingStream) -> int:

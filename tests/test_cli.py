@@ -129,7 +129,8 @@ def test_log_level_selects_the_records_on_stderr(tmp_path, capsys):
     before = package_log.handlers[:], package_log.propagate, package_log.level
     # each call sets its own level, whatever the previous call left
     for level, expected in [(None, skipped),  # as Python's last-resort handler wrote it
-                            ("DEBUG", f"np.loadtxt cannot read {f}; parsing it line by line\n" + skipped),
+                            ("DEBUG", f"the channel scanner cannot read {f}; parsing it line by line\n"
+                             + skipped),
                             ("ERROR", ""), (None, skipped)]:
         assert main(stats + (["--log-level", level] if level else [])) == 0
         assert capsys.readouterr().err == expected
@@ -141,7 +142,7 @@ def test_empty_channel_file_writes_one_error_line(tmp_path, capsys, text):
     f = tmp_path / "empty.dat"
     f.write_text(text, encoding="utf-8", newline="")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # np.loadtxt warns on a file without a field
+        warnings.simplefilter("error")  # no reader may warn on a file without a field
         assert main(["stats", "--input", str(f)]) == 1
     assert capsys.readouterr().err == "error: no parseable samples in input\n"
 
@@ -320,11 +321,14 @@ def test_sweep_bad_grid_exits_2(trace_a_file, tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
-    for grid in (["--p-percent", "1,nan"], ["--p-percent", "inf", "--e-percent", "inf"]):
+    # 1e308 % derives inf watts or watt-hours: no trigger in a cell is reachable
+    for grid in (["--p-percent", "1,nan"], ["--p-percent", "inf", "--e-percent", "inf"],
+                 ["--p-percent", "1e308", "--e-percent", "inf"],
+                 ["--p-percent", "1e308", "--e-percent", "1e308"]):
         code = main(["sweep", "--input", str(trace_a_file), "--out", str(tmp_path / "x"), *grid])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_max_gap_validation(trace_a_file):

@@ -1,5 +1,6 @@
 """The compiled send-on-delta kernel: bit equality with the Python loop it
-replaced, and how it is built and cached."""
+replaced, and how the kernel library is built, cached and shared with the
+channel-file scanner."""
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterdelta import PowerTrace, Thresholds, sample_event_based, segment_trace, validate_trace
-from meterdelta.sampler import _event_kernel
+from meterdelta._kernels import library
 from oracles import python_event_readings, random_gappy_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -75,21 +76,36 @@ def test_kernel_silence_across_the_whole_int64_range():
         assert stream.timestamps[1:-1].tolist() == seg.timestamps[fired].tolist()
 
 
-def _cli(tmp_path, env_update):
-    data = tmp_path / "trace.dat"
-    data.write_text("".join(f"{t} {p}\n" for t, p in enumerate([100, 100, 500, 500, 100])))
+def _run(env_update, *args):
     env = {**os.environ, "PYTHONPATH": str(SRC), **env_update}
-    return subprocess.run(
-        [sys.executable, "-m", "meterdelta.cli", "sample", "--input", str(data),
-         "--strategy", "event", "--delta-p", "300"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "meterdelta.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _cli(tmp_path, env_update, fmt="redd"):
+    """`sample --strategy event` on a five-sample trace in the given format."""
+    powers = [100, 100, 500, 500, 100]
+    if fmt == "redd":
+        data = tmp_path / "trace.dat"
+        data.write_text("".join(f"{t} {p}\n" for t, p in enumerate(powers)))
+    else:
+        data = tmp_path / "trace.csv"
+        data.write_text("timestamp,power\n" + "".join(f"{t},{p}\n" for t, p in enumerate(powers)))
+    return _run(env_update, "sample", "--input", str(data), "--format", fmt,
+                "--strategy", "event", "--delta-p", "300")
+
+
+def _empty_path(tmp_path):
+    """A PATH on which no compiler can be found."""
+    empty = tmp_path / "empty_path"
+    empty.mkdir(exist_ok=True)
+    return str(empty)
 
 
 def test_cli_without_a_compiler_exits_1(tmp_path):
-    empty = tmp_path / "empty_path"
-    empty.mkdir()
-    done = _cli(tmp_path, {"PATH": str(empty), "XDG_CACHE_HOME": str(tmp_path / "cache")})
+    # a CSV input leaves the first build to event sampling
+    done = _cli(tmp_path, {"PATH": _empty_path(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "cache")},
+                fmt="csv")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     (line,) = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
@@ -112,10 +128,8 @@ def test_second_run_reuses_the_cached_library(tmp_path):
     assert first.returncode == 0, first.stderr
     (lib,) = (cache / "meterdelta").iterdir()
     before = lib.stat()
-    empty = tmp_path / "empty_path"
-    empty.mkdir()
     # no compiler can run with an empty PATH: the cached build must serve
-    second = _cli(tmp_path, {"XDG_CACHE_HOME": str(cache), "PATH": str(empty)})
+    second = _cli(tmp_path, {"XDG_CACHE_HOME": str(cache), "PATH": _empty_path(tmp_path)})
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
     after = lib.stat()
@@ -123,9 +137,41 @@ def test_second_run_reuses_the_cached_library(tmp_path):
     assert list((cache / "meterdelta").iterdir()) == [lib]
 
 
+def test_channel_file_without_a_compiler_exits_1(tmp_path):
+    data = tmp_path / "trace.dat"
+    data.write_text("0 100\n1 200\n")
+    done = _run({"PATH": _empty_path(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "cache")},
+                "stats", "--input", str(data))
+    assert done.returncode == 1
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error:") and "'cc'" in line
+
+
+def test_csv_file_needs_no_compiler(tmp_path):
+    data = tmp_path / "trace.csv"
+    data.write_text("timestamp,power\n0,100\n1,200\n")
+    done = _run({"PATH": _empty_path(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "cache")},
+                "stats", "--format", "csv", "--input", str(data))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].startswith("trace")
+
+
+def test_one_build_serves_both_scans(tmp_path):
+    cache = str(tmp_path / "cache")
+    # a CSV input is parsed in Python, so only event sampling builds the library
+    first = _cli(tmp_path, {"XDG_CACHE_HOME": cache}, fmt="csv")
+    assert first.returncode == 0, first.stderr
+    data = tmp_path / "trace.dat"
+    data.write_text("0 100\n1 200\n")
+    done = _run({"PATH": _empty_path(tmp_path), "XDG_CACHE_HOME": cache},
+                "stats", "--input", str(data))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 def test_stale_temporary_files_do_not_break_the_build(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "first"))
-    _event_kernel.__wrapped__()
+    library.__wrapped__()
     (built,) = (tmp_path / "first" / "meterdelta").iterdir()
     cache = tmp_path / "second" / "meterdelta"
     cache.mkdir(parents=True)
@@ -135,7 +181,7 @@ def test_stale_temporary_files_do_not_break_the_build(tmp_path, monkeypatch):
     for path in stale:
         path.write_bytes(b"not a shared library")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "second"))
-    kernel = _event_kernel.__wrapped__()
+    kernel = library.__wrapped__().event_scan
     assert sorted(cache.iterdir()) == sorted([cache / built.name, stale[1]])
     idx, codes, energy = np.empty(2, np.int64), np.empty(2, np.uint8), np.empty(2)
     ts, pw = np.array([0, 1]), np.array([1.0, 9.0])
@@ -151,7 +197,7 @@ def test_concurrent_first_builds_all_succeed(tmp_path, monkeypatch):
     def build():
         try:
             barrier.wait()
-            kernels.append(_event_kernel.__wrapped__())
+            kernels.append(library.__wrapped__().event_scan)
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -168,7 +214,7 @@ def test_concurrent_first_builds_all_succeed(tmp_path, monkeypatch):
     assert [p.suffix for p in (tmp_path / "threads" / "meterdelta").iterdir()] == [".so"]
 
     env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "procs")}
-    code = "from meterdelta.sampler import _event_kernel; _event_kernel()"
+    code = "from meterdelta._kernels import library; library()"
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
              for _ in range(3)]
     assert [p.wait(timeout=60) for p in procs] == [0, 0, 0]

@@ -1,9 +1,11 @@
 import gzip
 import io
+import locale
 import os
+import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meterdelta import combine_mains, dump_redd_channel, load_csv, load_redd_channel, load_redd_house
@@ -256,7 +258,7 @@ def test_house_loader_modes(house_dir):
         load_redd_house(house_dir, mains="bogus")
 
 
-# Each case is parsed by load_redd_channel from a path, where np.loadtxt
+# Each case is parsed by load_redd_channel from a path, where the scanner
 # reads first, and by the line parser alone, from an open text stream.
 PARSER_CORPUS = {
     "plain": b"1303132930 222.02\n1303132931 221.97\n",
@@ -302,7 +304,31 @@ PARSER_CORPUS = {
     "no_final_newline": b"0 1\n1 2",
     "unicode_spaces_only": " \t\u00a0\u2028\u3000\n\x0b\x1c\n".encode(),
     "no_break_space_as_separator": "0\u00a01\n".encode(),
+    # the scanner divides powers of up to 15 significant and 22 fraction
+    # digits; the 16, 17 and 23 digit cases are ones that division rounds wrong
+    "digits_15": b"1 123456789.012345\n2 0.999999999999999\n",
+    "digits_16": b"1 9194344.306190379\n",
+    "digits_17": b"1 827.37886539498228\n",
+    "fraction_digits_22": b"1 0.0000000000000000123456\n",
+    "fraction_digits_23": b"1 0.00000000000000000508481\n",
+    "power_2_53_plus_1": b"1 9007199254740993\n",
+    "leading_zeros": b"007 0.000123\n0008 007\n",
+    "trailing_spaces_before_crlf": b"0 1  \r\n1 2\t\r\n",
+    "lone_cr_inside": b"0 1\r\n1 2\r3\n",
+    "vertical_tab_as_separator": b"0\x0b1\n",
+    "file_separator_as_separator": b"0\x1c1\n",
+    "nul_byte": b"0 1\n1 \x002\n",
+    # reads are 1 MiB blocks; 18-byte lines put a block boundary inside one
+    "line_over_one_block": b"0 1\n1 " + b"0" * (1 << 20) + b"2\n2 3\n",
+    "line_across_a_block_boundary": b"".join(b"%d 222.02\n" % (1303132930 + i) for i in range(60000)),
+    "blocks_without_final_newline": b"".join(b"%d 0.5\r\n" % i for i in range(150000))[:-2],
 }
+# the cases the scanner must read without the line parser
+SCANNED = ("plain", "crlf", "tabs", "blank_lines", "leading_plus", "negative_zero",
+           "no_final_newline", "timestamp_minus_2_63", "timestamp_2_63_minus_1",
+           "400_digit_fraction", "digits_15", "digits_16", "digits_17", "fraction_digits_22",
+           "fraction_digits_23", "power_2_53_plus_1", "leading_zeros", "trailing_spaces_before_crlf",
+           "line_over_one_block", "line_across_a_block_boundary", "blocks_without_final_newline")
 
 
 def _outcome(parse):
@@ -342,21 +368,89 @@ def test_clean_file_never_reaches_the_line_parser(tmp_path, monkeypatch, caplog)
     assert caplog.records == []
 
 
-def test_line_parser_takes_over_when_loadtxt_fails(tmp_path, monkeypatch, caplog):
-    f = tmp_path / "channel_1.dat"
-    f.write_text("1303132930 222.02\n1303132931 221.97\n\n1303132933 0.1\n")
-    expected = load_redd_channel(f)
+@pytest.mark.parametrize("name", SCANNED)
+def test_scanner_reads_its_grammar_alone(tmp_path, monkeypatch, caplog, name):
+    # test_path_parse_equals_line_parser checks the values
+    f = tmp_path / f"{name}.dat"
+    f.write_bytes(PARSER_CORPUS[name])
 
-    def fail(*args, **kwargs):
-        raise ValueError("loadtxt failed")
+    def refuse(*args):
+        raise AssertionError("line parser called")
 
-    monkeypatch.setattr("numpy.loadtxt", fail)
+    monkeypatch.setattr("meterdelta.ingest._parse_channel_line", refuse)
     with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
-        samples = load_redd_channel(f)
+        load_redd_channel(f)
+    assert caplog.records == []
+
+
+def test_line_parser_takes_over_when_the_scanner_refuses(tmp_path, caplog):
+    clean, refused = tmp_path / "channel_1.dat", tmp_path / "channel_2.dat"
+    clean.write_text("1303132930 222.02\n1303132931 221.97\n\n1303132933 0.1\n")
+    # a form feed separates fields for str.split, not in the scanner's grammar
+    refused.write_text("1303132930 222.02\n1303132931\f221.97\n\n1303132933 0.1\n")
+    expected = load_redd_channel(clean)
+    with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
+        samples = load_redd_channel(refused)
     assert samples.dtype == expected.dtype
     assert samples.tobytes() == expected.tobytes()
     (record,) = caplog.records
     assert record.levelname == "DEBUG"
+    assert str(refused) in record.getMessage()
+
+
+INT64_EDGES = st.one_of(st.integers(-(2**63) - 2, -(2**63) + 2), st.integers(2**63 - 3, 2**63 + 1),
+                        st.integers(-(10**12), 10**12))
+POWER_TEXT = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{0,19}(\.[0-9]{0,24})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.floats(allow_nan=False).map(repr),
+)
+CHANNEL_LINE = st.builds("{}{}{}{}".format, INT64_EDGES, st.sampled_from([" ", "\t", " \t "]),
+                         POWER_TEXT, st.sampled_from(["\n", "\r\n", " \n"]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(CHANNEL_LINE, min_size=1, max_size=4), st.booleans())
+def test_random_numbers_parse_as_the_line_parser_reads_them(tmp_path, caplog, lines, tolerant):
+    f = tmp_path / "channel_1.dat"
+    f.write_text("".join(lines), encoding="ascii", newline="")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        fast = _outcome(lambda: load_redd_channel(f, tolerant=tolerant))
+        fast_log = caplog.text
+        caplog.clear()
+        with open(f, encoding="utf-8", newline="") as stream:
+            slow = _outcome(lambda: load_redd_channel(stream, tolerant=tolerant))
+    assert fast == slow
+    assert fast_log == caplog.text
+
+
+def test_a_decimal_comma_locale_only_costs_speed(tmp_path, monkeypatch, caplog):
+    # strtod follows LC_NUMERIC: with a decimal comma it stops at the "." of
+    # 1.5e3, and the scanner must refuse the file rather than read 1
+    definition = tmp_path / "comma"
+    definition.write_text('LC_NUMERIC\ndecimal_point ","\nthousands_sep "."\n'
+                          'grouping 3;3\nEND LC_NUMERIC\n')
+    try:
+        subprocess.run(["localedef", "-c", "-i", str(definition), "-f", "UTF-8",
+                        str(tmp_path / "comma.UTF-8")], capture_output=True, timeout=60)
+    except OSError:
+        pytest.skip("no localedef")
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        locale.setlocale(locale.LC_NUMERIC, "comma.UTF-8")
+    except locale.Error:
+        pytest.skip("cannot build a locale with a decimal comma")
+    f = tmp_path / "channel_1.dat"
+    f.write_bytes(b"0 1.5e3\n1 2.5\n2 1e2\n")
+    try:
+        with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
+            samples = load_redd_channel(f)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+    assert samples.tolist() == [(0, 1500.0), (1, 2.5), (2, 100.0)]
+    (record,) = caplog.records
     assert str(f) in record.getMessage()
 
 
