@@ -27,9 +27,10 @@ from pathlib import Path
 
 from .errors import MeterDeltaError
 from .evaluate import DEFAULT_DT_GRID, SweepResult, run_sweep
-from .ingest import load_csv, load_redd_channel, load_redd_house
+from .ingest import MAINS_MODES, load_csv, load_redd_channel, load_redd_house
 from .sampler import TRIGGERS, sample_event_based, sample_time_based
-from .thresholds import DEFAULT_PERCENT_GRID, Thresholds, ThresholdSpec, derive_thresholds
+from .thresholds import (DEFAULT_PERCENT_GRID, POWER_BASES, ROUNDING_MODES, Thresholds, ThresholdSpec,
+                         derive_thresholds)
 from .trace import (SECONDS_PER_HOUR, PowerTrace, TraceStats, first_difference_distribution,
                     segment_trace, trace_stats, validate_trace)
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", action="append", required=True, metavar="PATH",
                         help="trace file, or house directory for --format redd (repeatable)")
     common.add_argument("--format", choices=("redd", "csv"), default="redd")
-    common.add_argument("--mains", choices=("sum", "first", "second"), default="sum",
+    common.add_argument("--mains", choices=tuple(MAINS_MODES), default="sum",
                         help="how to combine a house directory's two mains channels")
     common.add_argument("--max-gap", type=int, default=3600, metavar="N",
                         help="split traces at data gaps longer than N seconds")
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
     common.add_argument("--p-percent", default=grid, metavar="LIST")
     common.add_argument("--e-percent", default=grid, metavar="LIST")
-    common.add_argument("--power-base", choices=("variation", "peak"), default="variation")
-    common.add_argument("--rounding", choices=("ceil", "none"), default="ceil")
+    common.add_argument("--power-base", choices=POWER_BASES, default="variation")
+    common.add_argument("--rounding", choices=ROUNDING_MODES, default="ceil")
 
     parser = argparse.ArgumentParser(
         prog="meterdelta",

@@ -12,7 +12,6 @@ included, goes through the Python line parsers, which alone report errors.
 """
 from __future__ import annotations
 
-import io
 import csv
 import functools
 import logging
@@ -40,8 +39,6 @@ def _as_lines(source) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield from fh
-    elif isinstance(source, (bytes, bytearray)):
-        yield from io.StringIO(source.decode("utf-8"))
     else:
         for line in source:
             yield line.decode("utf-8") if isinstance(line, bytes) else line
@@ -228,7 +225,8 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     A missing reading on either mains leg means the house total is unknown
     for that second; filling with zero would corrupt the peak statistics, so
     intersection semantics are deliberate (and logged). Within a channel,
-    duplicate timestamps keep the last value.
+    duplicate timestamps keep the last value. Powers are summed in channel
+    order, which is exact and order-free for two channels (the mains legs).
     """
     if not channels:
         raise EmptyInputError("need at least one channel")
@@ -238,9 +236,8 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     dropped = [leg.size - common.size for leg in legs]
     if any(dropped):
         log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)
-    # sorting makes the sum independent of channel order; two channels give a + b
-    powers = np.sort([leg["power"][np.searchsorted(leg["timestamp"], common)] for leg in legs], 0)
-    return _sample_array(common, powers.sum(axis=0))
+    total = sum(leg["power"][np.searchsorted(leg["timestamp"], common)] for leg in legs)
+    return _sample_array(common, total)
 
 
 def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) -> np.ndarray:

@@ -8,7 +8,8 @@ reading-for-reading comparison can demand strict equality. The
 python_event_readings loop instead repeats the event sampler's own float
 operations, so it can demand bit equality on any powers, and
 indexed_held_powers is reconstruct's former index route, with the same
-bit-equality demand on held powers.
+bit-equality demand on held powers. sorted_leg_sum is combine_mains'
+former route, which sorted each second's leg powers before summing.
 """
 from __future__ import annotations
 
@@ -148,6 +149,17 @@ def indexed_held_powers(stream, segment):
     interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
     idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
     return interval_power[idx]
+
+
+def sorted_leg_sum(channels):
+    """The mains total the way combine_mains summed it before it added the
+    legs in channel order: the timestamps in every channel (later
+    duplicates win), and per second the sum of the sorted leg powers.
+    Returns (timestamps list, float64 powers)."""
+    legs = [dict(channel) for channel in channels]
+    common = sorted(set.intersection(*(set(leg) for leg in legs)))
+    powers = np.sort(np.array([[leg[t] for t in common] for leg in legs], dtype=np.float64), 0)
+    return common, powers.sum(axis=0)
 
 
 def brute_force_time_readings(timestamps, powers, delta_t):
