@@ -14,7 +14,6 @@ from meterdelta import (
     DEFAULT_PERCENT_GRID,
     ThresholdSpec,
     run_sweep,
-    segment_trace,
     validate_trace,
 )
 
@@ -30,14 +29,13 @@ def random_walk_trace(seed=7, length=4 * 3600):
 
 
 def main():
-    trace = random_walk_trace()
-    segments = segment_trace(trace, max_gap=3600)
     result = run_sweep(
-        segments,
+        random_walk_trace(),
         DEFAULT_DT_GRID,
         DEFAULT_PERCENT_GRID,
         DEFAULT_PERCENT_GRID,
         ThresholdSpec(),
+        max_gap=3600,
         trace_id="random_walk",
     )
 

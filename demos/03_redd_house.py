@@ -73,7 +73,7 @@ def main():
 
     print("Headline comparison (10% power, 1% energy):")
     result = run_sweep(
-        segments, [60, 300], [10], [1], ThresholdSpec(), trace_id=f"house_{house}", stats=stats
+        trace, [60, 300], [10], [1], ThresholdSpec(), max_gap=3600, trace_id=f"house_{house}"
     )
     event = result.event_based[0]
     by_dt = {r.dt: r for r in result.time_based}

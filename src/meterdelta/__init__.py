@@ -28,7 +28,6 @@ from .evaluate import (
     error_components,
     nmae,
     reconstruct,
-    rmse,
     run_sweep,
 )
 from .ingest import (
@@ -56,7 +55,6 @@ from .trace import (
     PowerTrace,
     TraceStats,
     first_difference_distribution,
-    merge_segments,
     segment_trace,
     trace_stats,
     validate_trace,
@@ -97,11 +95,9 @@ __all__ = [
     "load_csv",
     "load_redd_channel",
     "load_redd_house",
-    "merge_segments",
     "message_count",
     "nmae",
     "reconstruct",
-    "rmse",
     "run_sweep",
     "sample_event_based",
     "sample_time_based",

@@ -10,8 +10,9 @@ Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
 outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
 0 success, 1 input or parse error (such as input that is not UTF-8 text),
-2 configuration error (such as a NaN percentage, inf in both grids, or
-percentages so large that a cell's derived thresholds overflow to inf).
+2 configuration error (such as a NaN percentage, inf in both grids,
+percentages so large that a cell's derived thresholds overflow to inf, or
+two inputs with one trace id, which names their output files).
 """
 from __future__ import annotations
 
@@ -101,8 +102,15 @@ def _check(args) -> None:
 
 
 def _load_traces(args) -> list[tuple[str, PowerTrace]]:
-    traces = []
+    """(trace id, trace) per input; ids must be distinct, as they name the outputs."""
+    paths = {}
     for path in map(Path, args.input):
+        full = Path(os.path.abspath(path))  # "." takes its directory's name, a symlink keeps its own
+        trace_id = full.name if full.is_dir() else full.stem
+        if paths.setdefault(trace_id, path) is not path:
+            raise ConfigError(f"inputs {paths[trace_id]} and {path} share the trace id {trace_id!r}")
+    traces = []
+    for trace_id, path in paths.items():
         if args.format == "csv":
             raw = load_csv(path, args.timestamp_col, args.power_col,
                            delimiter=args.delimiter, tolerant=args.tolerant)
@@ -110,7 +118,7 @@ def _load_traces(args) -> list[tuple[str, PowerTrace]]:
             raw = load_redd_house(path, mains=args.mains, tolerant=args.tolerant)
         else:
             raw = load_redd_channel(path, tolerant=args.tolerant)
-        traces.append((path.name if path.is_dir() else path.stem, validate_trace(raw)))
+        traces.append((trace_id, validate_trace(raw)))
     return traces
 
 
@@ -235,8 +243,8 @@ def _sweep_csv(result: SweepResult) -> str:
 def cmd_sweep(args) -> int:
     for trace_id, trace in _load_traces(args):
         try:
-            result = run_sweep(segment_trace(trace, args.max_gap), args.dt, args.p_percent,
-                               args.e_percent, args.spec, trace_id=trace_id)
+            result = run_sweep(trace, args.dt, args.p_percent, args.e_percent, args.spec,
+                               max_gap=args.max_gap, trace_id=trace_id)
         except ValueError as exc:  # such as derived thresholds that overflow to inf
             raise ConfigError(str(exc)) from None
         if args.emit in ("json", "both"):

@@ -4,9 +4,9 @@ Reconstruction spreads each reading's energy uniformly over its interval,
 yielding a piecewise-constant average-power signal on the segment's grid.
 NMAE is the sum of absolute per-second errors divided by the sum of the
 original powers; it penalizes large deviations less brutally than squared
-metrics, which matters for spiky household signals. Sweeps evaluate whole
-grids of periodic and event parameters, deriving thresholds once from
-whole-trace statistics.
+metrics, which matters for spiky household signals. A sweep takes a whole
+trace, derives the thresholds once from its statistics, and evaluates whole
+grids of periodic and event parameters on its segments.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .sampler import ReadingStream, message_count, sample_event_based, sample_time_based
 from .thresholds import Thresholds, ThresholdSpec, threshold_grid
-from .trace import PowerTrace, TraceStats, _steps, merge_segments, trace_stats
+from .trace import PowerTrace, TraceStats, _steps, segment_trace, trace_stats
 
 DEFAULT_DT_GRID = (10, 30, 60, 300, 600, 900, 1800, 3600, 7200)
 COMPRESSION_REFERENCE_DT = 10
@@ -30,9 +30,8 @@ COMPRESSION_REFERENCE_DT = 10
 
 @dataclass(frozen=True)
 class EvalResult:
-    """NMAE, message count and compression for one strategy/parameter point."""
+    """NMAE, message count and compression for one periodic or event grid point."""
 
-    strategy: str  # "time" or "event"
     nmae: float
     message_count: int
     compression_vs_10s: float
@@ -55,10 +54,9 @@ class SweepResult:
 def _held_powers(stream: ReadingStream, segment: PowerTrace) -> np.ndarray:
     """The powers of reconstruct(stream, segment), without building a trace."""
     reading_ts = stream.timestamps
-    ends = (stream.segment_start, stream.segment_end, int(reading_ts[0]), int(reading_ts[-1]))
-    if ends != (segment.start, segment.end) * 2:
-        raise MismatchedSegmentError(f"stream of [{ends[0]}, {ends[1]}) with readings {ends[2]}.."
-                                     f"{ends[3]} does not fit segment [{segment.start}, {segment.end})")
+    if (int(reading_ts[0]), int(reading_ts[-1])) != (segment.start, segment.end):
+        raise MismatchedSegmentError(f"readings {reading_ts[0]}..{reading_ts[-1]} do not span "
+                                     f"segment [{segment.start}, {segment.end})")
     interval_power = stream.energy_ws[1:] / _steps(reading_ts).astype(np.float64)
     return np.repeat(interval_power, np.diff(np.searchsorted(segment.timestamps, reading_ts)))
 
@@ -74,17 +72,11 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     return PowerTrace(segment.timestamps, _held_powers(stream, segment))
 
 
-def _residual(original: PowerTrace, reconstructed: PowerTrace) -> np.ndarray:
-    """Per-second original minus reconstructed power, once both are known
-    to sit on the same grid."""
-    if not np.array_equal(original.timestamps, reconstructed.timestamps):
-        raise MismatchedSegmentError("reconstruction is not on the segment's grid")
-    return original.powers - reconstructed.powers
-
-
 def error_components(original: PowerTrace, reconstructed: PowerTrace) -> tuple[float, float]:
     """Numerator and denominator of NMAE, for aggregation across segments."""
-    numerator = float(np.abs(_residual(original, reconstructed)).sum())
+    if not np.array_equal(original.timestamps, reconstructed.timestamps):
+        raise MismatchedSegmentError("reconstruction is not on the segment's grid")
+    numerator = float(np.abs(original.powers - reconstructed.powers).sum())
     denominator = float(original.powers.sum())
     return numerator, denominator
 
@@ -95,12 +87,6 @@ def nmae(original: PowerTrace, reconstructed: PowerTrace) -> float:
     if denominator <= 0:
         raise ZeroEnergySegmentError("original powers sum to zero")
     return numerator / denominator
-
-
-def rmse(original: PowerTrace, reconstructed: PowerTrace) -> float:
-    """Root-mean-square error in watts. Secondary metric only; it punishes
-    the large deviations periodic averaging produces far harder than NMAE."""
-    return float(np.sqrt(np.mean(_residual(original, reconstructed) ** 2)))
 
 
 def compression_ratio(reference_count: int, candidate_count: int) -> float:
@@ -123,30 +109,27 @@ def _pooled_score(segments: Sequence[PowerTrace], streams: Sequence[ReadingStrea
 
 
 def run_sweep(
-    segments: Sequence[PowerTrace],
+    trace: PowerTrace,
     dt_list: Sequence[int],
     p_list: Sequence[float],
     e_list: Sequence[float],
     spec: ThresholdSpec,
     *,
+    max_gap: int,
     trace_id: str = "trace",
-    stats: TraceStats | None = None,
 ) -> SweepResult:
-    """Evaluate every periodic and event grid point for one trace.
+    """Evaluate every periodic and event grid point for one validated trace.
 
-    Thresholds derive once from whole-trace statistics even when the trace
-    is split into segments; each grid point is then sampled and scored per
-    segment and pooled. compression_vs_10s always compares against the 10 s
-    periodic strategy, whether or not 10 appears in dt_list.
+    Thresholds derive once from the whole trace's statistics. The trace is
+    split at gaps longer than max_gap seconds; each grid point is sampled and
+    scored per segment and pooled. compression_vs_10s always compares against
+    the 10 s periodic strategy, whether or not 10 appears in dt_list.
     """
-    segments = list(segments)
-    if not segments:
-        raise ValueError("need at least one segment")
     dt_values = [int(dt) for dt in dict.fromkeys(dt_list)]
     if not dt_values:
         raise ValueError("dt_list must be non-empty")
-    if stats is None:
-        stats = trace_stats(merge_segments(segments))
+    segments = segment_trace(trace, max_gap)
+    stats = trace_stats(trace)
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
@@ -155,7 +138,7 @@ def run_sweep(
         streams = [sample_time_based(s, dt) for s in segments]
         score, count = _pooled_score(segments, streams)
         time_rows.append(
-            EvalResult("time", score, count, compression_ratio(reference_count, count), dt=dt)
+            EvalResult(score, count, compression_ratio(reference_count, count), dt=dt)
         )
 
     event_rows = []
@@ -164,7 +147,6 @@ def run_sweep(
         score, count = _pooled_score(segments, streams)
         event_rows.append(
             EvalResult(
-                "event",
                 score,
                 count,
                 compression_ratio(reference_count, count),

@@ -36,7 +36,8 @@ class ReadingStream:
     Reading i was sent at timestamps[i] because of TRIGGERS[triggers[i]].
     energy_ws[i] is the energy accumulated since reading i - 1 (zero for the
     initial baseline); power_w[i] is the instantaneous power at that time
-    under the left-hold convention. The arrays are frozen after
+    under the left-hold convention. The first and last timestamps are the
+    segment's start and exclusive end. The arrays are frozen after
     construction.
     """
 
@@ -44,9 +45,6 @@ class ReadingStream:
     triggers: np.ndarray
     energy_ws: np.ndarray
     power_w: np.ndarray
-    strategy: str
-    segment_start: int
-    segment_end: int
 
     def __post_init__(self):
         for name, dtype in (("timestamps", np.int64), ("triggers", np.uint8),
@@ -86,7 +84,7 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     powers_at = pw[np.searchsorted(ts, stamps, side="right") - 1]
     triggers = np.where(np.arange(len(stamps)) > full, FINAL, WINDOW)
     triggers[0] = INITIAL
-    return ReadingStream(stamps, triggers, energies, powers_at, f"time:dt={delta_t}", start, end)
+    return ReadingStream(stamps, triggers, energies, powers_at)
 
 
 def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
@@ -115,11 +113,10 @@ def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     count = library().event_scan(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
                                  math.ceil(silence) if enabled else 0, idx, codes, energy)
     idx = idx[:count]  # the buffers' untouched tails are never copied
-    strategy = f"event:dp={th.power_delta_w},e_wh={th.energy_wh},silence={silence}"
     return ReadingStream(np.concatenate(([start], ts[idx], [end])),
                          np.concatenate(([INITIAL], codes[:count], [FINAL])),
                          np.concatenate(([0.0], energy[:count + 1])),
-                         np.concatenate(([pw[0]], pw[idx], [pw[-1]])), strategy, start, end)
+                         np.concatenate(([pw[0]], pw[idx], [pw[-1]])))
 
 
 def message_count(stream: ReadingStream) -> int:

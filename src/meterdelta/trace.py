@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -213,15 +213,6 @@ def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
         PowerTrace(trace.timestamps[a:b], trace.powers[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-
-
-def merge_segments(segments: Sequence[PowerTrace]) -> PowerTrace:
-    """Reassemble ordered segments into the trace they partition."""
-    if not segments:
-        raise EmptyInputError("no segments")
-    ts = np.concatenate([s.timestamps for s in segments])
-    pw = np.concatenate([s.powers for s in segments])
-    return PowerTrace(ts, pw)
 
 
 def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:

@@ -136,9 +136,7 @@ def python_event_readings(segment, th):
     triggers.append(FINAL)
     energies.append(acc)
     powers.append(pw[-1])
-
-    strategy = f"event:dp={power_delta_w},e_wh={th.energy_wh},silence={silence}"
-    return ReadingStream(stamps, triggers, energies, powers, strategy, start, end)
+    return ReadingStream(stamps, triggers, energies, powers)
 
 
 def indexed_held_powers(stream, segment):

@@ -286,16 +286,8 @@ def test_criterion_9_compression_band():
 
 @needs_dataset
 def test_criterion_10_house_1_headline_point():
-    segments = _house_segments(1)
-    result = run_sweep(
-        segments,
-        [60, 300],
-        [10],
-        [1],
-        ThresholdSpec(),
-        trace_id="house_1",
-        stats=trace_stats(_house_trace(1)),
-    )
+    result = run_sweep(_house_trace(1), [60, 300], [10], [1], ThresholdSpec(),
+                       max_gap=REDD_MAX_GAP, trace_id="house_1")
     by_dt = {r.dt: r for r in result.time_based}
     event = result.event_based[0]
     assert event.nmae <= 1.1 * by_dt[60].nmae, (

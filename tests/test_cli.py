@@ -363,6 +363,33 @@ def test_multiple_inputs_to_stdout_rejected(trace_a_file, house_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["stats"], ["diffdist"], ["sweep"],
+                                     ["sample", "--strategy", "time", "--delta-t", "2"]])
+def test_inputs_sharing_a_trace_id_exit_2_before_writing(tmp_path, capsys, command):
+    inputs = [tmp_path / side / "house.dat" for side in ("a", "b")]
+    for f in inputs:
+        f.parent.mkdir()
+        f.write_text("0 100\n1 200\n2 300\n")
+    out_dir = tmp_path / "out"
+    args = [*command, "--input", str(inputs[0]), "--input", str(inputs[1]), "--out", str(out_dir)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    assert str(inputs[0]) in captured.err and str(inputs[1]) in captured.err
+
+
+def test_trace_id_of_dot_and_of_a_symlink(house_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(house_dir)
+    out_dir = tmp_path / "out"
+    grid = ["--dt", "10", "--p-percent", "1", "--e-percent", "1"]
+    assert main(["sweep", "--input", ".", "--out", str(out_dir), *grid]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["house_9_sweep.csv", "house_9_sweep.json"]
+    assert json.loads((out_dir / "house_9_sweep.json").read_text())["trace_id"] == "house_9"
+    (tmp_path / "alias").symlink_to(house_dir)
+    assert main(["stats", "--input", str(tmp_path / "alias")]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "alias"
+
+
 # sha256 of each output on the gappy fixture below; any byte that changes
 # across commits fails this test, unlike the rerun test, which compares two
 # runs of the same code

@@ -13,11 +13,9 @@ from meterdelta import (
     compression_ratio,
     derive_thresholds,
     error_components,
-    merge_segments,
     message_count,
     nmae,
     reconstruct,
-    rmse,
     run_sweep,
     sample_event_based,
     sample_time_based,
@@ -63,12 +61,20 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     shifted = one_segment([(t + 1, p) for t, p in trace_samples(segment_a)])
     with pytest.raises(MismatchedSegmentError):
         reconstruct(stream, shifted)
-    # readings that start after the segment start leave its first samples uncovered
+    # the fit check rests on the first and last reading timestamps alone:
+    # readings that start after the segment start leave its first samples
+    # uncovered, readings that stop short leave its last ones uncovered, and
+    # readings from a longer segment with the same start run past its end
     full = sample_time_based(segment_a, 2)
     late = ReadingStream(full.timestamps[1:], full.triggers[1:], full.energy_ws[1:],
-                         full.power_w[1:], full.strategy, full.segment_start, full.segment_end)
-    with pytest.raises(MismatchedSegmentError):
-        reconstruct(late, segment_a)
+                         full.power_w[1:])
+    early = ReadingStream(full.timestamps[:-1], full.triggers[:-1], full.energy_ws[:-1],
+                          full.power_w[:-1])
+    longer = one_segment(trace_samples(segment_a) + [(segment_a.end, 50.0)])
+    assert longer.start == segment_a.start and longer.end > segment_a.end
+    for stream in (late, early, sample_time_based(longer, 2)):
+        with pytest.raises(MismatchedSegmentError):
+            reconstruct(stream, segment_a)
 
 
 def scoring_cases():
@@ -184,15 +190,6 @@ def test_time_based_nmae_matches_direct_window_average(segment_a):
         assert np.array_equal(recon.powers, direct)
 
 
-def test_rmse_basic(segment_a):
-    recon = reconstruct(sample_time_based(segment_a, 1), segment_a)
-    assert rmse(segment_a, recon) == 0.0
-    recon10 = reconstruct(sample_time_based(segment_a, 10), segment_a)
-    assert rmse(segment_a, recon10) == pytest.approx(
-        float(np.sqrt(np.mean((segment_a.powers - 180.0) ** 2)))
-    )
-
-
 def test_compression_ratio_values():
     assert compression_ratio(60480, 3000) == 20.16
     assert compression_ratio(10, 10) == 1.0
@@ -201,34 +198,28 @@ def test_compression_ratio_values():
         compression_ratio(10, 0)
 
 
-def sweep_fixture_segments(rng_seed=67, length=600):
+def sweep_fixture_trace(rng_seed=67, length=600):
     rng = np.random.default_rng(rng_seed)
-    trace = validate_trace(random_step_trace(rng, length=length, max_dwell=30))
-    return segment_trace(trace, max_gap=3600), trace
+    return validate_trace(random_step_trace(rng, length=length, max_dwell=30))
 
 
 def test_run_sweep_default_grid_shape():
-    segments, _ = sweep_fixture_segments()
-    result = run_sweep(
-        segments, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID, ThresholdSpec()
-    )
+    result = run_sweep(sweep_fixture_trace(), DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID,
+                       DEFAULT_PERCENT_GRID, ThresholdSpec(), max_gap=3600)
     assert len(result.time_based) == 9
     assert len(result.event_based) == 49
-    assert all(r.strategy == "time" for r in result.time_based)
-    assert all(r.strategy == "event" for r in result.event_based)
 
 
 def test_run_sweep_dt1_row_is_exact():
-    segments, _ = sweep_fixture_segments()
-    result = run_sweep(segments, [1], [1], [1], ThresholdSpec())
+    result = run_sweep(sweep_fixture_trace(), [1], [1], [1], ThresholdSpec(), max_gap=3600)
     assert result.time_based[0].nmae == 0.0
 
 
 def test_run_sweep_composes_individual_operations():
-    segments, trace = sweep_fixture_segments()
-    (seg,) = segments
+    trace = sweep_fixture_trace()
+    (seg,) = segment_trace(trace, max_gap=3600)
     spec = ThresholdSpec(p_percent=5, e_percent=2)
-    result = run_sweep(segments, [60], [5], [2], spec)
+    result = run_sweep(trace, [60], [5], [2], spec, max_gap=3600)
 
     stats = trace_stats(trace)
     th = derive_thresholds(stats, spec)
@@ -256,7 +247,7 @@ def test_run_sweep_pools_error_components_across_segments():
     segments = segment_trace(trace, max_gap=60)
     assert len(segments) == 2
 
-    result = run_sweep(segments, [30], [1], [1], ThresholdSpec())
+    result = run_sweep(trace, [30], [1], [1], ThresholdSpec(), max_gap=60)
     num = den = 0.0
     for seg in segments:
         n, d = error_components(seg, reconstruct(sample_time_based(seg, 30), seg))
@@ -269,39 +260,33 @@ def test_run_sweep_pools_error_components_across_segments():
 
 
 def test_run_sweep_deterministic():
-    segments, _ = sweep_fixture_segments()
-    a = run_sweep(segments, [10, 60], [1, 5], [1, 5], ThresholdSpec())
-    b = run_sweep(segments, [10, 60], [1, 5], [1, 5], ThresholdSpec())
+    trace = sweep_fixture_trace()
+    a = run_sweep(trace, [10, 60], [1, 5], [1, 5], ThresholdSpec(), max_gap=3600)
+    b = run_sweep(trace, [10, 60], [1, 5], [1, 5], ThresholdSpec(), max_gap=3600)
     assert a == b
 
 
 def test_run_sweep_deduplicates_dt():
-    segments, _ = sweep_fixture_segments()
-    result = run_sweep(segments, [10, 10, 60], [1], [1], ThresholdSpec())
+    result = run_sweep(sweep_fixture_trace(), [10, 10, 60], [1], [1], ThresholdSpec(),
+                       max_gap=3600)
     assert [r.dt for r in result.time_based] == [10, 60]
 
 
 def test_run_sweep_rejects_empty_grids():
-    segments, _ = sweep_fixture_segments()
+    trace = sweep_fixture_trace()
     with pytest.raises(ValueError):
-        run_sweep(segments, [], [1], [1], ThresholdSpec())
+        run_sweep(trace, [], [1], [1], ThresholdSpec(), max_gap=3600)
     with pytest.raises(ValueError):
-        run_sweep([], [10], [1], [1], ThresholdSpec())
+        run_sweep(trace, [10], [], [1], ThresholdSpec(), max_gap=3600)
 
 
 def test_run_sweep_compression_reference_present_even_without_dt10():
     rng = np.random.default_rng(1808)
     samples = random_gappy_trace(rng, length=1500, gap_chance=0.004, max_gap=400)
-    segments = segment_trace(validate_trace(samples), max_gap=60)
+    trace = validate_trace(samples)
+    segments = segment_trace(trace, max_gap=60)
     assert len(segments) >= 3 and all(s.duration % 10 for s in segments)
-    result = run_sweep(segments, [60], [1], [1], ThresholdSpec())
+    result = run_sweep(trace, [60], [1], [1], ThresholdSpec(), max_gap=60)
     ref = sum(message_count(sample_time_based(s, 10)) for s in segments)
     row = result.time_based[0]
     assert row.compression_vs_10s == ref / row.message_count
-
-
-def test_merge_segments_round_trip():
-    segments, trace = sweep_fixture_segments()
-    merged = merge_segments(segments)
-    assert np.array_equal(merged.timestamps, trace.timestamps)
-    assert np.array_equal(merged.powers, trace.powers)
