@@ -201,6 +201,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _or_null(value: float) -> float | None:
+    """value, or None (JSON null) for inf, which JSON has no number for."""
+    return None if math.isinf(value) else value
+
+
 def _sweep_payload(result: SweepResult) -> dict:
     s = result.stats
     return {
@@ -215,10 +220,10 @@ def _sweep_payload(result: SweepResult) -> dict:
         ],
         "event_based": [
             {
-                "p_percent": r.p_percent,
-                "e_percent": r.e_percent,
-                "delta_p_w": round(r.thresholds.power_delta_w, 2),
-                "energy_wh": round(r.thresholds.energy_wh, 2),
+                "p_percent": _or_null(r.p_percent),
+                "e_percent": _or_null(r.e_percent),
+                "delta_p_w": _or_null(round(r.thresholds.power_delta_w, 2)),
+                "energy_wh": _or_null(round(r.thresholds.energy_wh, 2)),
                 "nmae": round(r.nmae, 6),
                 "count": r.message_count,
                 "compression_vs_10s": round(r.compression_vs_10s, 6),
@@ -248,7 +253,10 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:  # such as derived thresholds that overflow to inf
             raise ConfigError(str(exc)) from None
         if args.emit in ("json", "both"):
-            text = json.dumps(_sweep_payload(result), indent=2) + "\n"
+            try:
+                text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
+            except ValueError:  # a NaN or inf left, from a trace whose energy overflows
+                raise MeterDeltaError(f"{trace_id}: sweep results are not finite") from None
             _emit(args, f"{trace_id}_sweep.json", text)
         if args.emit in ("csv", "both"):
             _emit(args, f"{trace_id}_sweep.csv", _sweep_csv(result))

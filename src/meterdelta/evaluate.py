@@ -125,7 +125,7 @@ def run_sweep(
     scored per segment and pooled. compression_vs_10s always compares against
     the 10 s periodic strategy, whether or not 10 appears in dt_list.
     """
-    dt_values = [int(dt) for dt in dict.fromkeys(dt_list)]
+    dt_values = list(dict.fromkeys(dt_list))  # sample_time_based rejects a fractional dt
     if not dt_values:
         raise ValueError("dt_list must be non-empty")
     segments = segment_trace(trace, max_gap)
@@ -138,7 +138,7 @@ def run_sweep(
         streams = [sample_time_based(s, dt) for s in segments]
         score, count = _pooled_score(segments, streams)
         time_rows.append(
-            EvalResult(score, count, compression_ratio(reference_count, count), dt=dt)
+            EvalResult(score, count, compression_ratio(reference_count, count), dt=int(dt))
         )
 
     event_rows = []

@@ -6,17 +6,18 @@ generic delimited CSV with a header row. Loaders return a SAMPLE_DTYPE array
 (int64 timestamps, float64 watts) in file order; validation into a
 PowerTrace happens separately.
 
-A channel file on disk is read by the C scanner of ``_kernels`` when all
-of it fits the scanner's strict grammar; everything else, CSV and streams
-included, goes through the Python line parsers, which alone report errors.
+A channel path is read once, whole, and its bytes are scanned by the C
+scanner of ``_kernels`` when all of them fit the scanner's strict grammar;
+otherwise the Python line parser reads the same bytes. CSV and streams
+always go through the Python line parsers, which alone report errors.
 """
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import logging
 import math
-import os
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,7 +32,6 @@ log = logging.getLogger(__name__)
 
 # channel numbers read by each mains mode
 MAINS_MODES = {"sum": (1, 2), "first": (1,), "second": (2,)}
-_BLOCK = 1 << 20  # bytes read at a time from a channel file
 
 
 def _as_lines(source) -> Iterator[str]:
@@ -91,57 +91,26 @@ def load_redd_channel(source, *, tolerant: bool = False) -> np.ndarray:
 
     Strict mode raises ParseError at the first malformed line. Tolerant mode
     skips malformed lines and logs their line numbers. Blank lines are
-    skipped; CRLF endings are accepted. A regular file is read by the C
-    scanner of ``_kernels.c`` (built with cc at the first call), which
-    accepts a strict ASCII grammar only; if it refuses any line, or finds
-    no row, the line parser, the only error reporter, reads the file again.
+    skipped; CRLF endings are accepted. A path, pipes included, is read
+    once, whole, and its bytes go to the C scanner of ``_kernels.c`` (built
+    with cc at the first call), which accepts a strict ASCII grammar only;
+    if it refuses any line, or finds no row, the line parser, the only
+    error reporter, reads the same bytes.
     """
     if isinstance(source, (str, Path)):
-        if os.path.isfile(source):  # not a pipe, which cannot be read twice
-            samples = _scan_channel_file(source)
-            if samples is not None:
-                return samples
+        text = Path(source).read_bytes()
+        if not text.endswith(b"\n"):  # the scanner needs a final newline
+            text += b"\n"
+        samples = np.empty(text.count(b"\n"), SAMPLE_DTYPE)
+        rows = library().scan_channel(text, len(text), samples, samples.size)
+        if rows > 0:
+            return samples[:rows]
         log.debug("the channel scanner cannot read %s; parsing it line by line", source)
+        # splits lines as open(source, newline="") does; str.splitlines would also
+        # split at U+2028, \x0b and \x1c and renumber the lines
+        source = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="")
     lines = (line.split() for line in _as_lines(source))
     return _collect(_numbered(lines, 1), _parse_channel_line, tolerant, "lines")
-
-
-def _scan_channel_file(path) -> np.ndarray | None:
-    """The samples of a channel file if the scanner accepts every line and
-    finds a row, else None. The file is read twice in _BLOCK-sized blocks,
-    never whole: once to count its lines, once to scan them."""
-    scan = library().scan_channel
-    try:
-        with open(path, "rb") as fh:
-            blocks = functools.partial(fh.read, _BLOCK)
-            newlines = sum(block.count(b"\n") for block in iter(blocks, b""))
-            samples = np.empty(newlines + 1, SAMPLE_DTYPE)
-            fh.seek(0)
-            rows = 0
-            for text in _whole_lines(iter(blocks, b"")):
-                done = scan(text, len(text), samples[rows:], samples.size - rows)
-                if done < 0:
-                    return None
-                rows += done
-    except OSError:  # reported by the line parser
-        return None
-    return samples[:rows] if rows else None
-
-
-def _whole_lines(blocks: Iterable[bytes]) -> Iterator[bytes]:
-    """Regroup byte blocks into pieces that each end in a newline: a
-    block's partial last line is carried over to the next piece, and the
-    last line of all gets a newline if it lacks one."""
-    carry = []
-    for block in blocks:
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield b"".join([*carry, memoryview(block)[:cut]])
-            carry = []
-        carry.append(memoryview(block)[cut:])
-    tail = b"".join(carry)
-    if tail:
-        yield tail + b"\n"
 
 
 def _parse_channel_line(line_no: int, tokens: list[str]) -> tuple[int, float]:

@@ -298,6 +298,31 @@ def test_sweep_emit_selects_outputs(trace_a_file, tmp_path):
     assert not (out_dir / "trace_a_sweep.json").exists()
 
 
+def test_sweep_json_writes_null_for_inf(trace_a_file, tmp_path, capsys):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--dt", "2",
+                 "--p-percent", "inf,50,1e308", "--e-percent", "50", "--rounding", "none"])
+    assert code == 0
+    payload = json.loads((out_dir / "trace_a_sweep.json").read_text(), parse_constant=refuse)
+    cells = [(r["p_percent"], r["delta_p_w"]) for r in payload["event_based"]]
+    assert cells == [(None, None), (50.0, 200.0), (1e308, None)]
+    assert None not in [r["energy_wh"] for r in payload["event_based"]]
+    assert "event,,inf,50,inf," in (out_dir / "trace_a_sweep.csv").read_text()
+    # a trace whose energy overflows float64 scores NaN, which has no JSON form either
+    big = tmp_path / "big.dat"
+    big.write_text("0 1e308\n1 1.5e308\n2 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--rounding", "none",
+                     "--emit", "json"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
+    assert not (out_dir / "big_sweep.json").exists()
+
+
 def test_failed_replace_leaves_no_file(trace_a_file, tmp_path, capsys, monkeypatch):
     def refuse(src, dst):
         raise OSError("replace refused")

@@ -270,6 +270,9 @@ def test_run_sweep_deduplicates_dt():
     result = run_sweep(sweep_fixture_trace(), [10, 10, 60], [1], [1], ThresholdSpec(),
                        max_gap=3600)
     assert [r.dt for r in result.time_based] == [10, 60]
+    (row,) = run_sweep(sweep_fixture_trace(), [10, 10.0], [1], [1], ThresholdSpec(),
+                       max_gap=3600).time_based
+    assert type(row.dt) is int and row.dt == 10
 
 
 def test_run_sweep_rejects_empty_grids():
@@ -278,6 +281,8 @@ def test_run_sweep_rejects_empty_grids():
         run_sweep(trace, [], [1], [1], ThresholdSpec(), max_gap=3600)
     with pytest.raises(ValueError):
         run_sweep(trace, [10], [], [1], ThresholdSpec(), max_gap=3600)
+    with pytest.raises(ValueError, match="delta_t must be an integer"):  # not truncated to 10
+        run_sweep(trace, [10.5, 10], [1], [1], ThresholdSpec(), max_gap=3600)
 
 
 def test_run_sweep_compression_reference_present_even_without_dt10():

@@ -347,7 +347,8 @@ PARSER_CORPUS = {
     "vertical_tab_as_separator": b"0\x0b1\n",
     "file_separator_as_separator": b"0\x1c1\n",
     "nul_byte": b"0 1\n1 \x002\n",
-    # reads are 1 MiB blocks; 18-byte lines put a block boundary inside one
+    # large files: a line over 1 MiB, 60 000 lines, and 150 000 CRLF lines
+    # without a final newline
     "line_over_one_block": b"0 1\n1 " + b"0" * (1 << 20) + b"2\n2 3\n",
     "line_across_a_block_boundary": b"".join(b"%d 222.02\n" % (1303132930 + i) for i in range(60000)),
     "blocks_without_final_newline": b"".join(b"%d 0.5\r\n" % i for i in range(150000))[:-2],
@@ -494,12 +495,26 @@ def test_path_is_opened_as_named(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_pipe_path_is_read_once():
-    read_end, write_end = os.pipe()
-    os.write(write_end, b"0 1\nnot a line\n" + b"".join(b"%d 2\n" % t for t in range(1, 500)))
-    os.close(write_end)
-    try:
-        samples = load_redd_channel(f"/dev/fd/{read_end}", tolerant=True)
-    finally:
-        os.close(read_end)
+def test_pipe_path_is_read_once(monkeypatch, caplog):
+    def read_pipe(text, **kwargs):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        try:
+            return load_redd_channel(f"/dev/fd/{read_end}", **kwargs)
+        finally:
+            os.close(read_end)
+
+    lines = b"".join(b"%d 2\n" % t for t in range(1, 500))
+    samples = read_pipe(b"0 1\nnot a line\n" + lines, tolerant=True)
     assert samples["timestamp"].tolist() == list(range(500))
+
+    def refuse(*args):
+        raise AssertionError("line parser called")
+
+    monkeypatch.setattr("meterdelta.ingest._parse_channel_line", refuse)
+    caplog.clear()  # of the skipped-line warning
+    with caplog.at_level("DEBUG", logger="meterdelta.ingest"):
+        samples = read_pipe(b"0 1\n" + lines)
+    assert samples["timestamp"].tolist() == list(range(500))
+    assert caplog.records == []
