@@ -59,8 +59,7 @@ def main():
     print(f"  energy            {stats.total_energy_wh:10.1f} Wh")
     print()
 
-    spec = ThresholdSpec(p_percent=1, e_percent=1)
-    thresholds = derive_thresholds(stats, spec)
+    thresholds = derive_thresholds(stats, 1, 1, ThresholdSpec())
     print(f"Derived thresholds at 1% / 1%: power delta {thresholds.power_delta_w:.0f} W, "
           f"energy {thresholds.energy_wh:.0f} Wh")
     print()

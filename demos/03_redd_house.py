@@ -62,7 +62,7 @@ def main():
     print()
 
     segments = segment_trace(trace, max_gap=3600)
-    thresholds = derive_thresholds(stats, ThresholdSpec(p_percent=1, e_percent=1))
+    thresholds = derive_thresholds(stats, 1, 1, ThresholdSpec())
     event_count = sum(message_count(sample_event_based(s, thresholds)) for s in segments)
     reference = sum(message_count(sample_time_based(s, 10)) for s in segments)
     print(

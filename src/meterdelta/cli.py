@@ -9,7 +9,8 @@ Subcommands:
 Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
 outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
-0 success, 1 input or parse error (such as input that is not UTF-8 text),
+0 success, 1 input or parse error (such as input that is not UTF-8 text,
+or a trace whose energy overflows float64),
 2 configuration error (such as a NaN percentage, inf in both grids,
 percentages so large that a cell's derived thresholds overflow to inf, or
 two inputs with one trace id, which names their output files).
@@ -86,11 +87,7 @@ def _check(args) -> None:
         raise ConfigError("percent values must be positive")
     if math.inf in args.p_percent and math.inf in args.e_percent:
         raise ConfigError("the grid cell with both percentages inf disables every trigger")
-    try:
-        args.spec = ThresholdSpec(args.p_percent[0], args.e_percent[0],
-                                  args.power_base, args.rounding)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    args.spec = ThresholdSpec(args.power_base, args.rounding)
     args.out = Path(args.out) if args.out else None
     if args.out is None and args.command == "sweep":
         raise ConfigError("sweep needs --out")
@@ -176,7 +173,8 @@ def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
     try:
         if args.delta_p is None and args.energy is None:
             # no explicit thresholds: derive them from the first grid percentages
-            derived = derive_thresholds(trace_stats(trace), args.spec)
+            derived = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0],
+                                        args.spec)
             return Thresholds(derived.power_delta_w, derived.energy_wh, args.max_silence)
         return Thresholds(math.inf if args.delta_p is None else args.delta_p,
                           math.inf if args.energy is None else args.energy, args.max_silence)
@@ -255,7 +253,7 @@ def cmd_sweep(args) -> int:
         if args.emit in ("json", "both"):
             try:
                 text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
-            except ValueError:  # a NaN or inf left, from a trace whose energy overflows
+            except ValueError:  # an inf left, from an error sum that overflows float64
                 raise MeterDeltaError(f"{trace_id}: sweep results are not finite") from None
             _emit(args, f"{trace_id}_sweep.json", text)
         if args.emit in ("csv", "both"):

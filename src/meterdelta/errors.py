@@ -57,7 +57,7 @@ class MissingColumnError(MeterDeltaError):
 
 
 class DegenerateStatsError(MeterDeltaError):
-    """Threshold derivation was asked to scale a zero base."""
+    """Threshold derivation was asked to scale a zero or infinite base."""
 
 
 class MismatchedSegmentError(MeterDeltaError):

@@ -133,26 +133,13 @@ def run_sweep(
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
-    time_rows = []
-    for dt in dt_values:
-        streams = [sample_time_based(s, dt) for s in segments]
-        score, count = _pooled_score(segments, streams)
-        time_rows.append(
-            EvalResult(score, count, compression_ratio(reference_count, count), dt=int(dt))
-        )
+    def row(sample, param, **point) -> EvalResult:
+        """Sample every segment with one grid point's parameter, scored pooled."""
+        pooled_nmae, count = _pooled_score(segments, [sample(s, param) for s in segments])
+        return EvalResult(pooled_nmae, count, compression_ratio(reference_count, count), **point)
 
-    event_rows = []
-    for p, e, th in threshold_grid(stats, p_list, e_list, spec):
-        streams = [sample_event_based(s, th) for s in segments]
-        score, count = _pooled_score(segments, streams)
-        event_rows.append(
-            EvalResult(
-                score,
-                count,
-                compression_ratio(reference_count, count),
-                p_percent=float(p),
-                e_percent=float(e),
-                thresholds=th,
-            )
-        )
+    # samplers are named here, at call time, so wrappers installed on this module apply
+    time_rows = [row(sample_time_based, dt, dt=int(dt)) for dt in dt_values]
+    event_rows = [row(sample_event_based, th, p_percent=float(p), e_percent=float(e), thresholds=th)
+                  for p, e, th in threshold_grid(stats, p_list, e_list, spec)]
     return SweepResult(trace_id, stats, tuple(time_rows), tuple(event_rows))

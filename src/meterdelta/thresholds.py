@@ -1,16 +1,17 @@
 """Derive event-trigger thresholds from trace statistics.
 
-The rule: take a percentage of the trace's peak one-second power change
-(or, optionally, of its plain peak power) as the power trigger, and a
-percentage of its mean daily energy as the energy trigger. By default both
-bases are first rounded up to a whole kilowatt / kilowatt-hour so thresholds
-stay round numbers across houses of very different size; rounding can be
-disabled for exact proportional scaling.
+The rule: take p_percent of the trace's peak one-second power change (or,
+optionally, of its plain peak power) as the power trigger, and e_percent of
+its mean daily energy as the energy trigger. The two percentages are the
+rule's arguments; a ThresholdSpec picks the power base and the rounding. By
+default both bases are first rounded up to a whole kilowatt /
+kilowatt-hour so thresholds stay round numbers across houses of very
+different size; rounding can be disabled for exact proportional scaling.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateStatsError
@@ -53,48 +54,44 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """How to turn :class:`TraceStats` into :class:`Thresholds`.
+    """Which bases :func:`derive_thresholds` scales, and how.
 
     power_base "variation" scales the peak one-second power change, "peak"
     scales the peak power itself. rounding "ceil" rounds the base up to a
     whole kW / kWh before the percentage applies; "none" uses the raw base.
     """
 
-    p_percent: float = 1.0
-    e_percent: float = 1.0
     power_base: str = "variation"
     rounding: str = "ceil"
 
     def __post_init__(self):
-        if not self.p_percent > 0:
-            raise ValueError("p_percent must be positive")
-        if not self.e_percent > 0:
-            raise ValueError("e_percent must be positive")
         if self.power_base not in POWER_BASES:
             raise ValueError(f"power_base must be one of {POWER_BASES}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
 
 
-def derive_thresholds(stats: TraceStats, spec: ThresholdSpec) -> Thresholds:
-    """Percentage-of-consumption thresholds for one trace.
+def derive_thresholds(stats: TraceStats, p_percent: float, e_percent: float,
+                      spec: ThresholdSpec) -> Thresholds:
+    """p_percent of the power base and e_percent of the energy base of one trace.
 
     Raises DegenerateStatsError when the chosen power base or the mean daily
-    energy is zero (a flat or empty trace cannot scale a percentage).
+    energy is zero (a flat or empty trace cannot scale a percentage), or the
+    energy is infinite (a trace whose energy overflows float64), and
+    ValueError, from Thresholds, when a percentage is not positive or NaN.
     """
     base_w = stats.peak_variation_w if spec.power_base == "variation" else stats.peak_power_w
     if base_w <= 0:
         raise DegenerateStatsError(f"power base ({spec.power_base}) is zero")
-    if stats.mean_daily_energy_wh <= 0:
-        raise DegenerateStatsError("mean daily energy is zero")
     energy_base_wh = stats.mean_daily_energy_wh
+    if energy_base_wh <= 0:
+        raise DegenerateStatsError("mean daily energy is zero")
+    if math.isinf(energy_base_wh):
+        raise DegenerateStatsError("mean daily energy overflows float64")
     if spec.rounding == "ceil":
         base_w = math.ceil(base_w / 1000.0) * 1000.0
         energy_base_wh = math.ceil(energy_base_wh / 1000.0) * 1000.0
-    return Thresholds(
-        power_delta_w=spec.p_percent / 100.0 * base_w,
-        energy_wh=spec.e_percent / 100.0 * energy_base_wh,
-    )
+    return Thresholds(p_percent / 100.0 * base_w, e_percent / 100.0 * energy_base_wh)
 
 
 def threshold_grid(
@@ -113,7 +110,7 @@ def threshold_grid(
     p_values = list(dict.fromkeys(p_list))
     e_values = list(dict.fromkeys(e_list))
     return [
-        (p, e, derive_thresholds(stats, replace(spec, p_percent=p, e_percent=e)))
+        (p, e, derive_thresholds(stats, p, e, spec))
         for p in p_values
         for e in e_values
     ]

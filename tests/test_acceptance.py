@@ -175,11 +175,11 @@ def test_criterion_6_threshold_monotonicity_and_degenerate_limits():
     )
     for rounding in ("ceil", "none"):
         dps = [
-            derive_thresholds(stats, ThresholdSpec(p_percent=p, rounding=rounding)).power_delta_w
+            derive_thresholds(stats, p, 1, ThresholdSpec(rounding=rounding)).power_delta_w
             for p in DEFAULT_PERCENT_GRID
         ]
         ens = [
-            derive_thresholds(stats, ThresholdSpec(e_percent=e, rounding=rounding)).energy_wh
+            derive_thresholds(stats, 1, e, ThresholdSpec(rounding=rounding)).energy_wh
             for e in DEFAULT_PERCENT_GRID
         ]
         assert all(b > a for a, b in zip(dps, dps[1:]))
@@ -273,7 +273,7 @@ def test_criterion_9_compression_band():
         stats = trace_stats(_house_trace(house))
         reference = sum(message_count(sample_time_based(s, 10)) for s in segments)
         for e_percent in (1, 2, 5):
-            th = derive_thresholds(stats, ThresholdSpec(p_percent=1, e_percent=e_percent))
+            th = derive_thresholds(stats, 1, e_percent, ThresholdSpec())
             count = sum(message_count(sample_event_based(s, th)) for s in segments)
             ratio = reference / count
             ratios[(house, e_percent)] = ratio

@@ -311,16 +311,34 @@ def test_sweep_json_writes_null_for_inf(trace_a_file, tmp_path, capsys):
     assert cells == [(None, None), (50.0, 200.0), (1e308, None)]
     assert None not in [r["energy_wh"] for r in payload["event_based"]]
     assert "event,,inf,50,inf," in (out_dir / "trace_a_sweep.csv").read_text()
-    # a trace whose energy overflows float64 scores NaN, which has no JSON form either
+    # a finite trace whose error sum overflows float64 scores inf, which has no JSON form either
     big = tmp_path / "big.dat"
-    big.write_text("0 1e308\n1 1.5e308\n2 1e308\n")
+    big.write_text("0 1.5e308\n" + "".join(f"{t} 0\n" for t in range(1, 30)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--rounding", "none",
-                     "--emit", "json"])
+        code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--dt", "30",
+                     "--rounding", "none", "--emit", "json"])
     assert code == 1
     assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
     assert not (out_dir / "big_sweep.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"],
+    ["sample", "--strategy", "event"],
+    ["sweep", "--rounding", "none", "--emit", "csv"],
+    ["sample", "--strategy", "event", "--rounding", "none"],
+])
+def test_energy_that_overflows_exits_1_at_derivation(command, tmp_path, capsys):
+    big = tmp_path / "big.dat"
+    big.write_text("0 1e308\n1 1.5e308\n2 1e308\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([*command, "--input", str(big), "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: mean daily energy overflows float64\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_failed_replace_leaves_no_file(trace_a_file, tmp_path, capsys, monkeypatch):

@@ -218,11 +218,11 @@ def test_run_sweep_dt1_row_is_exact():
 def test_run_sweep_composes_individual_operations():
     trace = sweep_fixture_trace()
     (seg,) = segment_trace(trace, max_gap=3600)
-    spec = ThresholdSpec(p_percent=5, e_percent=2)
+    spec = ThresholdSpec()
     result = run_sweep(trace, [60], [5], [2], spec, max_gap=3600)
 
     stats = trace_stats(trace)
-    th = derive_thresholds(stats, spec)
+    th = derive_thresholds(stats, 5, 2, spec)
     time_stream = sample_time_based(seg, 60)
     event_stream = sample_event_based(seg, th)
     ref = message_count(sample_time_based(seg, 10))
@@ -255,8 +255,38 @@ def test_run_sweep_pools_error_components_across_segments():
         den += d
     assert result.time_based[0].nmae == num / den
 
-    th = derive_thresholds(trace_stats(trace), ThresholdSpec())
+    th = derive_thresholds(trace_stats(trace), 1, 1, ThresholdSpec())
     assert result.event_based[0].thresholds == th  # whole-trace stats, not per segment
+
+
+def test_run_sweep_rows_compose_per_segment_operations_for_any_spec():
+    rng = np.random.default_rng(73)
+    part1 = random_step_trace(rng, length=300, start=0)
+    part2 = [(t + 5_000, p) for t, p in random_step_trace(rng, length=250, start=0)]
+    trace = validate_trace(part1 + part2)
+    segments = segment_trace(trace, max_gap=60)
+    assert len(segments) == 2
+    spec = ThresholdSpec("peak", "none")
+    result = run_sweep(trace, [30, 60], [2, 10], [1, 5], spec, max_gap=60)
+
+    stats = trace_stats(trace)
+    reference = sum(message_count(sample_time_based(seg, 10)) for seg in segments)
+
+    def expected(streams):
+        parts = [error_components(seg, reconstruct(st, seg)) for seg, st in zip(segments, streams)]
+        count = sum(map(message_count, streams))
+        return (sum(n for n, _ in parts) / sum(d for _, d in parts), count, reference / count)
+
+    assert [r.dt for r in result.time_based] == [30, 60]
+    for row in result.time_based:
+        streams = [sample_time_based(seg, row.dt) for seg in segments]
+        assert (row.nmae, row.message_count, row.compression_vs_10s) == expected(streams)
+    assert [(r.p_percent, r.e_percent) for r in result.event_based] == [(2, 1), (2, 5), (10, 1), (10, 5)]
+    for row in result.event_based:
+        th = derive_thresholds(stats, row.p_percent, row.e_percent, spec)
+        assert row.thresholds == th
+        streams = [sample_event_based(seg, th) for seg in segments]
+        assert (row.nmae, row.message_count, row.compression_vs_10s) == expected(streams)
 
 
 def test_run_sweep_deterministic():
