@@ -41,6 +41,18 @@ int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
     return count;
 }
 
+/* Absolute errors of one segment against a stream's held powers; see
+ * evaluate._pooled_score. Reading interval k holds power[k] over samples
+ * bounds[k] .. bounds[k + 1] - 1; writes |pw[j] - power[k]| to out[j].
+ */
+void held_errors(const double *pw, const int64_t *bounds, const double *power, int64_t m,
+                 double *out)
+{
+    for (int64_t k = 0; k < m; k++)
+        for (int64_t j = bounds[k]; j < bounds[k + 1]; j++)
+            out[j] = fabs(pw[j] - power[k]);
+}
+
 /* One row of a trace: the layout of trace.SAMPLE_DTYPE. */
 typedef struct {
     int64_t timestamp;
@@ -163,6 +175,29 @@ int64_t scan_channel(const char *text, int64_t len, sample *out, int64_t room)
         }
         out[rows++].power = power;
         p = next;
+    }
+    return rows;
+}
+
+/* Mains legs merged on their common timestamps; see ingest.combine_mains.
+ *
+ * a and b are sorted by timestamp, each timestamp at most once. Writes each
+ * common timestamp with the power a + b and returns the number of rows
+ * written, at most min(na, nb). out may be a itself: row k of out is
+ * written only after row k of a has been read.
+ */
+int64_t merge_legs(const sample *a, int64_t na, const sample *b, int64_t nb, sample *out)
+{
+    int64_t i = 0, j = 0, rows = 0;
+    while (i < na && j < nb) {
+        if (a[i].timestamp < b[j].timestamp) {
+            i++;
+        } else if (a[i].timestamp > b[j].timestamp) {
+            j++;
+        } else {
+            out[rows].timestamp = a[i].timestamp;
+            out[rows++].power = a[i++].power + b[j++].power;
+        }
     }
     return rows;
 }

@@ -1,7 +1,7 @@
-"""The compiled kernels of ``_kernels.c``: the send-on-delta scan that
-sampler uses and the channel-file scan that ingest uses.
+"""The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler),
+the held-error pass (evaluate), the channel-file scan and the leg merge (ingest).
 
-Both come from one shared library, built with cc at the first call of
+All four come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
@@ -53,11 +53,14 @@ def library() -> ctypes.CDLL:
                                   f"in {cache}: {exc}") from None
     kernels = ctypes.CDLL(str(lib))
     column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
-    kernels.event_scan.argtypes = [
-        column(np.int64), column(np.float64), ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-        ctypes.c_uint64, column(np.int64), column(np.uint8), column(np.float64)]
+    f64, i64, rows = column(np.float64), column(np.int64), column(SAMPLE_DTYPE)
+    kernels.event_scan.argtypes = [i64, f64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+                                   ctypes.c_uint64, i64, column(np.uint8), f64]
     kernels.event_scan.restype = ctypes.c_int64
-    kernels.scan_channel.argtypes = [ctypes.c_char_p, ctypes.c_int64, column(SAMPLE_DTYPE),
-                                     ctypes.c_int64]
+    kernels.scan_channel.argtypes = [ctypes.c_char_p, ctypes.c_int64, rows, ctypes.c_int64]
     kernels.scan_channel.restype = ctypes.c_int64
+    kernels.held_errors.argtypes = [f64, i64, f64, ctypes.c_int64, f64]
+    kernels.held_errors.restype = None
+    kernels.merge_legs.argtypes = [rows, ctypes.c_int64, rows, ctypes.c_int64, rows]
+    kernels.merge_legs.restype = ctypes.c_int64
     return kernels

@@ -5,8 +5,8 @@ yielding a piecewise-constant average-power signal on the segment's grid.
 NMAE is the sum of absolute per-second errors divided by the sum of the
 original powers; it penalizes large deviations less brutally than squared
 metrics, which matters for spiky household signals. A sweep takes a whole
-trace, derives the thresholds once from its statistics, and evaluates whole
-grids of periodic and event parameters on its segments.
+trace, derives its thresholds once, and scores whole grids of periodic and
+event parameters on its segments in C, bit-equal to reconstruct's numpy route.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import library
 from .errors import (
     MismatchedSegmentError,
     ZeroCandidateError,
@@ -51,14 +52,12 @@ class SweepResult:
     event_based: tuple[EvalResult, ...]
 
 
-def _held_powers(stream: ReadingStream, segment: PowerTrace) -> np.ndarray:
-    """The powers of reconstruct(stream, segment), without building a trace."""
-    reading_ts = stream.timestamps
-    if (int(reading_ts[0]), int(reading_ts[-1])) != (segment.start, segment.end):
-        raise MismatchedSegmentError(f"readings {reading_ts[0]}..{reading_ts[-1]} do not span "
-                                     f"segment [{segment.start}, {segment.end})")
-    interval_power = stream.energy_ws[1:] / _steps(reading_ts).astype(np.float64)
-    return np.repeat(interval_power, np.diff(np.searchsorted(segment.timestamps, reading_ts)))
+def _intervals(stream: ReadingStream, segment: PowerTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Reading-interval bounds and powers: power[k] holds on samples bounds[k]:bounds[k + 1]."""
+    ts = stream.timestamps
+    if (int(ts[0]), int(ts[-1])) != (segment.start, segment.end) or (ts[1:] <= ts[:-1]).any():
+        raise MismatchedSegmentError(f"readings do not tile [{segment.start}, {segment.end})")
+    return np.searchsorted(segment.timestamps, ts), stream.energy_ws[1:] / _steps(ts)
 
 
 def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
@@ -69,7 +68,8 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     shares the segment's timestamps, so it sits on the same present-sample
     grid. The stream must have been produced from the given segment.
     """
-    return PowerTrace(segment.timestamps, _held_powers(stream, segment))
+    bounds, power = _intervals(stream, segment)
+    return PowerTrace(segment.timestamps, np.repeat(power, np.diff(bounds)))
 
 
 def error_components(original: PowerTrace, reconstructed: PowerTrace) -> tuple[float, float]:
@@ -99,8 +99,12 @@ def compression_ratio(reference_count: int, candidate_count: int) -> float:
 def _pooled_score(segments: Sequence[PowerTrace], streams: Sequence[ReadingStream]) -> tuple[float, int]:
     """NMAE pooled across segments (numerators and denominators summed
     before the division) plus the total message count."""
-    numerator = sum(float(np.abs(seg.powers - _held_powers(stream, seg)).sum())
-                    for seg, stream in zip(segments, streams))
+    errors = np.empty(max(map(len, segments)))  # reused: each segment's errors fill its prefix
+    numerator = 0.0
+    for seg, stream in zip(segments, streams):
+        bounds, power = _intervals(stream, seg)
+        library().held_errors(seg.powers, bounds, power, power.size, errors)
+        numerator += float(errors[:len(seg)].sum())
     denominator = sum(seg.total_energy_ws for seg in segments)
     count = sum(map(message_count, streams))
     if denominator <= 0:

@@ -194,19 +194,20 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     A missing reading on either mains leg means the house total is unknown
     for that second; filling with zero would corrupt the peak statistics, so
     intersection semantics are deliberate (and logged). Within a channel,
-    duplicate timestamps keep the last value. Powers are summed in channel
-    order, which is exact and order-free for two channels (the mains legs).
+    duplicate timestamps keep the last value. A C kernel sums the legs in
+    channel order, 0.0 + first + ..., exact and order-free for two legs.
     """
     if not channels:
         raise EmptyInputError("need at least one channel")
     legs = [_last_value_wins(_as_samples(ch)) for ch in channels]
-    intersect = functools.partial(np.intersect1d, assume_unique=True)  # legs are unique
-    common = functools.reduce(intersect, [leg["timestamp"] for leg in legs])
-    dropped = [leg.size - common.size for leg in legs]
+    total = legs[0]
+    total["power"] += 0.0  # the builtin sum's start, which turns -0.0 into 0.0
+    for leg in legs[1:]:  # in place, as row k of the merge never passes row k of total
+        total = total[:library().merge_legs(total, total.size, leg, leg.size, total)]
+    dropped = [leg.size - total.size for leg in legs]
     if any(dropped):
         log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)
-    total = sum(leg["power"][np.searchsorted(leg["timestamp"], common)] for leg in legs)
-    return _sample_array(common, total)
+    return total
 
 
 def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) -> np.ndarray:

@@ -38,7 +38,7 @@ class ReadingStream:
     initial baseline); power_w[i] is the instantaneous power at that time
     under the left-hold convention. The first and last timestamps are the
     segment's start and exclusive end. The arrays are frozen after
-    construction.
+    construction and must be of equal length.
     """
 
     timestamps: np.ndarray
@@ -52,6 +52,8 @@ class ReadingStream:
             column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        if len({c.shape for c in (self.timestamps, self.triggers, self.energy_ws, self.power_w)}) > 1:
+            raise ValueError("reading columns must be equal-length arrays")
 
     @property
     def total_energy_ws(self) -> float:

@@ -139,12 +139,14 @@ def _sample_array(timestamps, powers) -> np.ndarray:
 
 def _last_value_wins(samples: np.ndarray) -> np.ndarray:
     """Sort by timestamp, keeping the last of equal timestamps (a meter
-    overwriting its own reading): np.unique indexes first occurrences."""
-    reverse = samples[::-1]
-    _, last = np.unique(reverse["timestamp"], return_index=True)
-    if last.size < samples.size:
-        log.warning("collapsed %d duplicate timestamps (last value wins)", samples.size - last.size)
-    return reverse[last]
+    overwriting its own reading): a stable sort keeps equal ones in input order."""
+    order = np.argsort(samples["timestamp"], kind="stable")
+    ts = samples["timestamp"][order]
+    last = np.ones(ts.size, dtype=bool)
+    last[:-1] = ts[1:] != ts[:-1]
+    if not last.all():
+        log.warning("collapsed %d duplicate timestamps (last value wins)", ts.size - last.sum())
+    return samples[order[last]]
 
 
 def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrace:
@@ -208,6 +210,9 @@ def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
     cuts = np.flatnonzero(_steps(trace.timestamps) > max_gap) + 1
+    if log.isEnabledFor(logging.DEBUG):
+        for before, after in zip(*trace.timestamps[[cuts - 1, cuts]].tolist()):
+            log.debug("split at the gap [%d, %d) of %d s", before + 1, after, after - before - 1)
     bounds = [0, *cuts.tolist(), len(trace)]
     return [
         PowerTrace(trace.timestamps[a:b], trace.powers[a:b])

@@ -9,7 +9,11 @@ python_event_readings loop instead repeats the event sampler's own float
 operations, so it can demand bit equality on any powers, and
 indexed_held_powers is reconstruct's former index route, with the same
 bit-equality demand on held powers. sorted_leg_sum is combine_mains'
-former route, which sorted each second's leg powers before summing.
+former route, which sorted each second's leg powers before summing, and
+unique_last_value_wins its former deduplication through np.unique.
+
+bench/gen.py loads this file by path, without the package on sys.path, so
+every meterdelta import stays inside the function that needs it.
 """
 from __future__ import annotations
 
@@ -144,7 +148,8 @@ def indexed_held_powers(stream, segment):
     before it repeated interval powers: searchsorted finds the reading
     interval [t0, t1) holding every sample. Returns a float64 array."""
     reading_ts = stream.timestamps
-    interval_power = stream.energy_ws[1:] / np.diff(reading_ts).astype(np.float64)
+    # differences on the uint64 view, exact for readings up to 2**64 - 1 s apart
+    interval_power = stream.energy_ws[1:] / np.diff(reading_ts.view(np.uint64)).astype(np.float64)
     idx = np.searchsorted(reading_ts, segment.timestamps, side="right") - 1
     return interval_power[idx]
 
@@ -158,6 +163,16 @@ def sorted_leg_sum(channels):
     common = sorted(set.intersection(*(set(leg) for leg in legs)))
     powers = np.sort(np.array([[leg[t] for t in common] for leg in legs], dtype=np.float64), 0)
     return common, powers.sum(axis=0)
+
+
+def unique_last_value_wins(samples):
+    """A SAMPLE_DTYPE array sorted by timestamp, keeping the last row of
+    equal timestamps, the way trace._last_value_wins did before it sorted
+    stably: np.unique indexes first occurrences, so it reads the rows
+    reversed."""
+    reverse = samples[::-1]
+    _, last = np.unique(reverse["timestamp"], return_index=True)
+    return reverse[last]
 
 
 def brute_force_time_readings(timestamps, powers, delta_t):

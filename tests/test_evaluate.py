@@ -28,8 +28,9 @@ from meterdelta.errors import (
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
-from meterdelta.evaluate import _held_powers, _pooled_score
-from meterdelta.sampler import SILENCE
+from meterdelta._kernels import library
+from meterdelta.evaluate import _intervals, _pooled_score
+from meterdelta.sampler import FINAL, INITIAL, SILENCE, WINDOW
 from conftest import trace_samples
 from oracles import (indexed_held_powers, random_gappy_trace, random_step_trace,
                      random_thresholds)
@@ -72,15 +73,27 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
                           full.power_w[:-1])
     longer = one_segment(trace_samples(segment_a) + [(segment_a.end, 50.0)])
     assert longer.start == segment_a.start and longer.end > segment_a.end
-    for stream in (late, early, sample_time_based(longer, 2)):
+    # readings out of order span the segment, yet their intervals overlap
+    backwards = ReadingStream([0, 6, 3, 10], [INITIAL, WINDOW, WINDOW, FINAL],
+                              [0.0, 600.0, 300.0, 900.0], [100.0] * 4)
+    for stream in (late, early, sample_time_based(longer, 2), backwards):
         with pytest.raises(MismatchedSegmentError):
             reconstruct(stream, segment_a)
+        with pytest.raises(MismatchedSegmentError):
+            _pooled_score([segment_a], [stream])
+    # the scoring kernel reads the energies as one per reading interval
+    with pytest.raises(ValueError, match="equal-length"):
+        ReadingStream(full.timestamps, full.triggers, full.energy_ws[:2], full.power_w)
 
 
 def scoring_cases():
     """(segments, streams) pairs: gappy traces with 2-decimal powers cut into
     many segments, one of them a single sample, under periods from 1 s to
-    longer than any segment and under event thresholds with silence."""
+    longer than any segment and under event thresholds with silence; then
+    single gappy segments whose lengths sit on both sides of np.sum's
+    pairwise blocks (8 accumulators, leaves of at most 128 samples, halves
+    rounded down to a multiple of 8), and one segment spanning the int64
+    range."""
     rng = np.random.default_rng(1807)
     thresholds = (Thresholds(300.0, 5.0), Thresholds(math.inf, 2.5, 30),
                   Thresholds(150.0, math.inf, 7), Thresholds(math.inf, math.inf, 5))
@@ -94,16 +107,35 @@ def scoring_cases():
             yield segments, [sample_time_based(s, dt) for s in segments]
         for th in thresholds:
             yield segments, [sample_event_based(s, th) for s in segments]
+    for n in (7, 8, 9, 127, 128, 129, 135, 136, 137, 255, 256, 257, 263, 264, 1023, 1024,
+              1025, 8191, 8192, 8193):
+        samples = random_gappy_trace(rng, length=n, max_power=500_000, gap_chance=0.05)
+        seg = one_segment([(t, p / 100) for t, p in samples])
+        for sample, param in [(sample_time_based, dt) for dt in (1, 3, 10**6)] + [
+                (sample_event_based, th) for th in thresholds]:
+            yield [seg], [sample(seg, param)]
+    (seg,) = segment_trace(validate_trace([(-(2**63), 3.25), (2**63 - 2, 5.5)]), max_gap=2**64)
+    for stream in [sample_time_based(seg, 2**64)] + [sample_event_based(seg, th) for th in thresholds]:
+        yield [seg], [stream]
 
 
 def test_held_powers_and_pooled_score_match_the_index_route():
     silences = 0
     for segments, streams in scoring_cases():
         num = den = 0.0
+        errors = np.empty(max(map(len, segments)) + 1)
         for seg, stream in zip(segments, streams):
             expected = indexed_held_powers(stream, seg)
-            assert _held_powers(stream, seg).tobytes() == expected.tobytes()
-            assert reconstruct(stream, seg).powers.tobytes() == expected.tobytes()
+            held = reconstruct(stream, seg).powers
+            assert held.tobytes() == expected.tobytes()
+            # the kernel writes every error once (a cell it skips stays NaN), and
+            # its numerator is bit for bit that of the numpy route
+            errors.fill(np.nan)
+            bounds, power = _intervals(stream, seg)
+            library().held_errors(seg.powers, bounds, power, power.size, errors)
+            reference = np.abs(seg.powers - held)
+            assert errors[:len(seg)].tobytes() == reference.tobytes()
+            assert errors[:len(seg)].sum().tobytes() == reference.sum().tobytes()
             n, d = error_components(seg, PowerTrace(seg.timestamps, expected))
             num += n
             den += d

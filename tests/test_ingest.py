@@ -4,6 +4,7 @@ import locale
 import os
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -260,12 +261,20 @@ _LEG = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_LEG, _LEG)
-@example([(0, -0.0)], [(0, -0.0)])
-def test_two_leg_sum_is_bit_identical_to_the_sorted_route(a, b):
-    timestamps, powers = sorted_leg_sum([a, b])
-    for legs in ([a, b], [b, a]):
-        combined = combine_mains(legs)
+@given(st.lists(_LEG, min_size=1, max_size=3))
+@example([[(0, -0.0)], [(0, -0.0)]])
+@example([[(0, -0.0)]])
+@example([[(0, -0.0)], [(0, -0.0)], [(0, -0.0)]])
+def test_leg_sum_is_bit_identical_to_the_reference_routes(legs):
+    per_second = [dict(leg) for leg in legs]
+    common = sorted(set.intersection(*map(set, per_second)))
+    # per second, the builtin sum in channel order, which turns a lone -0.0 into 0.0
+    total = np.array([sum(leg[t] for leg in per_second) for t in common], dtype=np.float64)
+    references = [(legs, common, total)]
+    if len(legs) == 2:  # and the sorted route, in both leg orders
+        references += [(pair, *sorted_leg_sum(pair)) for pair in (legs, legs[::-1])]
+    for channels, timestamps, powers in references:
+        combined = combine_mains(channels)
         assert combined["timestamp"].tolist() == timestamps
         assert combined["power"].tobytes() == powers.tobytes()
 

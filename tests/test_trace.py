@@ -18,8 +18,9 @@ from meterdelta.errors import (
     NonFiniteError,
     TimestampRangeError,
 )
+from meterdelta.trace import _last_value_wins, _sample_array
 from conftest import trace_samples
-from oracles import random_gappy_trace, random_step_trace
+from oracles import random_gappy_trace, random_step_trace, unique_last_value_wins
 
 
 def test_validate_passthrough():
@@ -50,6 +51,17 @@ def test_validate_duplicates_oracle_over_permutations():
             last_wins[t] = p
         expected = sorted(last_wins.items())
         assert trace_samples(validate_trace(list(perm))) == expected
+
+
+_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-3, 3), _EDGES), st.floats()), max_size=40))
+def test_last_value_wins_is_byte_identical_to_the_unique_route(pairs):
+    # few distinct timestamps, so most draws hold duplicates and descents
+    samples = _sample_array([t for t, _ in pairs], [p for _, p in pairs])
+    assert _last_value_wins(samples).tobytes() == unique_last_value_wins(samples).tobytes()
 
 
 def test_validate_truncates_fractional_timestamps():
@@ -170,6 +182,20 @@ def test_segment_split_on_gap():
     trace = validate_trace([(0, 1.0), (1, 1.0), (2, 1.0), (100, 1.0), (101, 1.0)])
     segments = segment_trace(trace, max_gap=60)
     assert [s.timestamps.tolist() for s in segments] == [[0, 1, 2], [100, 101]]
+
+
+def test_segment_splits_are_logged_at_debug(caplog):
+    trace = validate_trace([(0, 1.0), (1, 1.0), (2, 1.0), (100, 1.0), (101, 1.0)] + WIDE_GAP)
+    with caplog.at_level("INFO", logger="meterdelta.trace"):
+        segment_trace(trace, max_gap=60)
+    assert caplog.records == []
+    with caplog.at_level("DEBUG", logger="meterdelta.trace"):
+        segment_trace(trace, max_gap=60)
+    assert caplog.messages == [
+        f"split at the gap [{-(2**63) + 2}, 0) of {2**63 - 2} s",
+        "split at the gap [3, 100) of 97 s",
+        f"split at the gap [102, {2**62}) of {2**62 - 102} s",
+    ]
 
 
 def test_segment_gap_boundary_is_inclusive():
