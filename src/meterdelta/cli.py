@@ -9,11 +9,11 @@ Subcommands:
 Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
 outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
-0 success, 1 input or parse error (such as input that is not UTF-8 text,
-or a trace whose energy overflows float64),
-2 configuration error (such as a NaN percentage, inf in both grids,
-percentages so large that a cell's derived thresholds overflow to inf, or
-two inputs with one trace id, which names their output files).
+0 success; 1 input or parse error (any MeterDeltaError or OSError, such as
+input that is not UTF-8 text, a trace whose energy overflows float64, or
+sweep results that are not finite, under every --emit); 2 settings error
+(any other ValueError, such as a NaN percentage, inf in both grids, a cell
+whose derived thresholds all overflow to inf, or two inputs with one trace id).
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ from .thresholds import (DEFAULT_PERCENT_GRID, POWER_BASES, ROUNDING_MODES, Thre
                          derive_thresholds)
 from .trace import (SECONDS_PER_HOUR, PowerTrace, TraceStats, first_difference_distribution,
                     segment_trace, trace_stats, validate_trace)
-
-
-class ConfigError(Exception):
-    pass
 
 
 # TraceStats field, stdout heading, stdout width, decimals (None: an integer);
@@ -64,38 +60,38 @@ def _numbers(text: str, kind, flag: str) -> tuple:
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
     if not values:
-        raise ConfigError(f"{flag} must not be empty")
+        raise ValueError(f"{flag} must not be empty")
     return values
 
 
 def _check(args) -> None:
     """Validate the parsed flags, replacing the list flags by tuples of
-    numbers and adding args.spec; raises ConfigError."""
+    numbers and adding args.spec; raises ValueError."""
     if args.max_gap < 1:
-        raise ConfigError("--max-gap must be >= 1")
+        raise ValueError("--max-gap must be >= 1")
     if len(args.delimiter) != 1:
-        raise ConfigError("--delimiter must be a single character")
+        raise ValueError("--delimiter must be a single character")
     if args.command == "sweep":
         args.dt = _numbers(args.dt, int, "--dt")
         if min(args.dt) < 1:
-            raise ConfigError("--dt values must be >= 1")
+            raise ValueError("--dt values must be >= 1")
     args.p_percent = _numbers(args.p_percent, float, "--p-percent")
     args.e_percent = _numbers(args.e_percent, float, "--e-percent")
     if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
-        raise ConfigError("percent values must be positive")
+        raise ValueError("percent values must be positive")
     if math.inf in args.p_percent and math.inf in args.e_percent:
-        raise ConfigError("the grid cell with both percentages inf disables every trigger")
+        raise ValueError("the grid cell with both percentages inf disables every trigger")
     args.spec = ThresholdSpec(args.power_base, args.rounding)
     args.out = Path(args.out) if args.out else None
     if args.out is None and args.command == "sweep":
-        raise ConfigError("sweep needs --out")
+        raise ValueError("sweep needs --out")
     if args.out is None and args.command in ("diffdist", "sample") and len(args.input) > 1:
-        raise ConfigError("multiple inputs need --out (stdout handles one trace)")
+        raise ValueError("multiple inputs need --out (stdout handles one trace)")
     if args.command == "sample" and args.strategy == "time":
         if args.delta_t is None or args.delta_t < 1:
-            raise ConfigError("time strategy needs --delta-t >= 1")
+            raise ValueError("time strategy needs --delta-t >= 1")
 
 
 def _load_traces(args) -> list[tuple[str, PowerTrace]]:
@@ -105,7 +101,7 @@ def _load_traces(args) -> list[tuple[str, PowerTrace]]:
         full = Path(os.path.abspath(path))  # "." takes its directory's name, a symlink keeps its own
         trace_id = full.name if full.is_dir() else full.stem
         if paths.setdefault(trace_id, path) is not path:
-            raise ConfigError(f"inputs {paths[trace_id]} and {path} share the trace id {trace_id!r}")
+            raise ValueError(f"inputs {paths[trace_id]} and {path} share the trace id {trace_id!r}")
     traces = []
     for trace_id, path in paths.items():
         if args.format == "csv":
@@ -138,7 +134,8 @@ def _emit(args, name: str, text: str) -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     tmp = args.out / f".{name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        # surrogateescape: a trace id from a non-UTF-8 file name keeps its bytes
+        with open(tmp, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             fh.write(text)
         os.replace(tmp, args.out / name)
     except BaseException:
@@ -170,16 +167,12 @@ def cmd_diffdist(args) -> int:
 
 
 def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
-    try:
-        if args.delta_p is None and args.energy is None:
-            # no explicit thresholds: derive them from the first grid percentages
-            derived = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0],
-                                        args.spec)
-            return Thresholds(derived.power_delta_w, derived.energy_wh, args.max_silence)
-        return Thresholds(math.inf if args.delta_p is None else args.delta_p,
-                          math.inf if args.energy is None else args.energy, args.max_silence)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if args.delta_p is None and args.energy is None:
+        # no explicit thresholds: derive them from the first grid percentages
+        th = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0], args.spec)
+        return Thresholds(th.power_delta_w, th.energy_wh, args.max_silence)
+    return Thresholds(math.inf if args.delta_p is None else args.delta_p,
+                      math.inf if args.energy is None else args.energy, args.max_silence)
 
 
 def cmd_sample(args) -> int:
@@ -245,16 +238,13 @@ def _sweep_csv(result: SweepResult) -> str:
 
 def cmd_sweep(args) -> int:
     for trace_id, trace in _load_traces(args):
-        try:
-            result = run_sweep(trace, args.dt, args.p_percent, args.e_percent, args.spec,
-                               max_gap=args.max_gap, trace_id=trace_id)
-        except ValueError as exc:  # such as derived thresholds that overflow to inf
-            raise ConfigError(str(exc)) from None
+        result = run_sweep(trace, args.dt, args.p_percent, args.e_percent, args.spec,
+                           max_gap=args.max_gap, trace_id=trace_id)
+        # nmae alone can overflow here, from an error sum past float64
+        if not all(math.isfinite(r.nmae) for r in result.time_based + result.event_based):
+            raise MeterDeltaError(f"{trace_id}: sweep results are not finite")
         if args.emit in ("json", "both"):
-            try:
-                text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
-            except ValueError:  # an inf left, from an error sum that overflows float64
-                raise MeterDeltaError(f"{trace_id}: sweep results are not finite") from None
+            text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
             _emit(args, f"{trace_id}_sweep.json", text)
         if args.emit in ("csv", "both"):
             _emit(args, f"{trace_id}_sweep.csv", _sweep_csv(result))
@@ -321,9 +311,10 @@ def main(argv=None) -> int:
     try:
         _check(args)
         return COMMANDS[args.command][0](args)
-    except (ConfigError, MeterDeltaError, OSError) as exc:
+    except (MeterDeltaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+        # input errors first: io.UnsupportedOperation is an OSError and a ValueError
+        return 1 if isinstance(exc, (MeterDeltaError, OSError)) else 2
     finally:
         log.handlers, log.propagate = saved[:2]
         log.setLevel(saved[2])

@@ -10,9 +10,9 @@ Energies ride in watt-seconds internally: a 1 Hz integrator's native unit,
 which keeps window sums and reconstruction exact. Divide by
 SECONDS_PER_HOUR at presentation boundaries.
 
-The send-on-delta scan is a C kernel from ``_kernels``, built with cc at the
-first event sampling or channel-file parse (never at import) and cached in
-$XDG_CACHE_HOME/meterdelta/.
+The send-on-delta scan is a C kernel from ``_kernels``, built with cc (never
+at import) at the first event sampling, sweep scoring, channel-file parse or
+mains combine, and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 

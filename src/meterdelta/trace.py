@@ -37,9 +37,9 @@ SAMPLE_DTYPE = np.dtype([("timestamp", np.int64), ("power", np.float64)])
 class PowerTrace:
     """Validated power trace. Build one with :func:`validate_trace`.
 
-    Timestamps are strictly increasing integer epoch seconds; powers are
-    finite, non-negative watts. Arrays are frozen after construction, so a
-    trace can be shared across threads freely.
+    Timestamps are strictly increasing integer epoch seconds below 2**63 - 1;
+    powers are finite, non-negative watts. Arrays are frozen after
+    construction, so a trace can be shared across threads freely.
     """
 
     timestamps: np.ndarray
@@ -56,6 +56,8 @@ class PowerTrace:
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(pw)) or np.any(pw < 0):
             raise ValueError("powers must be finite and non-negative")
+        if ts[-1] == 2**63 - 1:  # its hold interval [t, t + 1) would end past int64
+            raise TimestampRangeError(2**63 - 1)
         ts.setflags(write=False)
         pw.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -171,8 +173,6 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     if (pw < 0).any():
         row = int(np.argmax(pw < 0))
         raise NegativePowerError(int(ts[row]), float(pw[row]))
-    if ts.max() == 2**63 - 1:  # its hold interval [t, t + 1) would end past int64
-        raise TimestampRangeError(2**63 - 1)
     samples = _last_value_wins(samples)
     return PowerTrace(samples["timestamp"], samples["power"])
 

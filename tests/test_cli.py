@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import logging
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -104,6 +106,29 @@ def test_unreadable_input_exits_1(tmp_path, capsys):
         assert main(["stats", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "Traceback" not in err
+
+
+def test_unsupported_operation_while_loading_exits_1(trace_a_file, capsys, monkeypatch):
+    # io.UnsupportedOperation is an OSError and a ValueError: an input error all the same
+    def refuse(path, tolerant):
+        raise io.UnsupportedOperation("read")
+
+    monkeypatch.setattr("meterdelta.cli.load_redd_channel", refuse)
+    assert main(["stats", "--input", str(trace_a_file)]) == 1
+    assert capsys.readouterr().err == "error: read\n"
+
+
+def test_non_utf8_input_name_keeps_its_bytes(tmp_path, monkeypatch):
+    f = tmp_path / os.fsdecode(b"\xffx.dat")
+    f.write_text("0 100\n1 200\n")
+    # the stdout of a UTF-8 mode run, which writes such a name with surrogateescape
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out_dir = tmp_path / "out"
+    assert main(["stats", "--input", str(f), "--out", str(out_dir)]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue().splitlines()[1].startswith(b"\xffx ")
+    assert (out_dir / "stats.csv").read_bytes().splitlines()[1].startswith(b"\xffx,200.00,")
 
 
 def test_empty_delimiter_exits_2(tmp_path, capsys):
@@ -239,6 +264,15 @@ def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
     assert json.loads((out_dir / "trace_a_sweep.json").read_text())["time_based"][0]["count"] == 1
 
 
+def test_sample_event_bad_thresholds_exit_2(trace_a_file, capsys):
+    for bad in (["--delta-p", "0"], ["--energy", "-1"], ["--delta-p", "100", "--max-silence", "0"],
+                ["--delta-p", "inf"]):
+        assert main(["sample", "--input", str(trace_a_file), "--strategy", "event", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sample_silence_only(trace_a_file, capsys):
     code = main(
         ["sample", "--input", str(trace_a_file), "--strategy", "event",
@@ -312,15 +346,18 @@ def test_sweep_json_writes_null_for_inf(trace_a_file, tmp_path, capsys):
     assert None not in [r["energy_wh"] for r in payload["event_based"]]
     assert "event,,inf,50,inf," in (out_dir / "trace_a_sweep.csv").read_text()
     # a finite trace whose error sum overflows float64 scores inf, which has no JSON form either
+    # and no CSV holds it either: every --emit fails before writing
     big = tmp_path / "big.dat"
     big.write_text("0 1.5e308\n" + "".join(f"{t} 0\n" for t in range(1, 30)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--dt", "30",
-                     "--rounding", "none", "--emit", "json"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
-    assert not (out_dir / "big_sweep.json").exists()
+    for emit in ("csv", "json", "both"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--dt", "30",
+                         "--rounding", "none", "--emit", emit])
+        assert code == 1
+        assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["trace_a_sweep.csv",
+                                                             "trace_a_sweep.json"]
 
 
 @pytest.mark.parametrize("command", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterdelta import (
+    PowerTrace,
     first_difference_distribution,
     segment_trace,
     trace_stats,
@@ -106,6 +107,26 @@ def test_validate_rejects_the_top_int64_timestamp():
         validate_trace([(5, 1.0), (2**63 - 1, 2.0)])
     assert err.value.timestamp == 2**63 - 1
     assert validate_trace([(2**63 - 2, 1.0)]).end == 2**63 - 1
+    # built directly, too: the samplers would wrap its end to -2**63
+    with pytest.raises(TimestampRangeError) as err:
+        PowerTrace(np.array([2**63 - 3, 2**63 - 1]), np.array([1.0, 2.0]))
+    assert err.value.timestamp == 2**63 - 1
+    assert PowerTrace(np.array([2**63 - 3, 2**63 - 2]), np.array([1.0, 2.0])).end == 2**63 - 1
+
+
+@pytest.mark.parametrize("timestamps, powers, message", [
+    ([[0, 1]], [[1.0, 2.0]], "equal-length 1-d arrays"),
+    ([0, 1], [1.0], "equal-length 1-d arrays"),
+    ([], [], "at least one sample"),
+    ([0, 2, 1], [1.0, 2.0, 3.0], "strictly increasing"),
+    ([0, 0], [1.0, 2.0], "strictly increasing"),
+    ([0, 1], [1.0, np.nan], "finite and non-negative"),
+    ([0, 1], [np.inf, 1.0], "finite and non-negative"),
+    ([0, 1], [1.0, -0.5], "finite and non-negative"),
+])
+def test_power_trace_rejects_what_validate_trace_never_builds(timestamps, powers, message):
+    with pytest.raises(ValueError, match=message):
+        PowerTrace(np.array(timestamps, dtype=np.int64), np.array(powers))
 
 
 def test_stats_trace_a(trace_a):
