@@ -4,14 +4,14 @@ Subcommands:
   stats     per-trace statistics table
   diffdist  sorted, normalized one-second power-change curve as CSV
   sample    run one metering strategy and emit its readings CSV
-  sweep     evaluate full parameter grids, writing JSON/CSV reports
+  sweep     evaluate full parameter grids, writing both a JSON and a CSV report
 
 Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
 error fractions 6, curve fractions 9) so reruns are byte-identical and
 outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
 0 success; 1 input or parse error (any MeterDeltaError or OSError, such as
 input that is not UTF-8 text, a trace whose energy overflows float64, or
-sweep results that are not finite, under every --emit); 2 settings error
+non-finite sweep results, before either report is written); 2 settings error
 (any other ValueError, such as a NaN percentage, inf in both grids, a cell
 whose derived thresholds all overflow to inf, or two inputs with one trace id).
 """
@@ -125,34 +125,34 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _emit(args, name: str, text: str) -> None:
-    """Write text to stdout without --out; otherwise replace --out/name
-    atomically through a temporary file in the same directory."""
-    if args.out is None:
-        sys.stdout.write(text)
+def _emit(text: str, out: Path | None = None, name: str = "") -> None:
+    """Write text as UTF-8 to stdout, or to out/name atomically via a temporary file."""
+    data = text.encode("utf-8", "surrogateescape")  # a non-UTF-8 trace id keeps its bytes
+    if out is None:
+        sys.stdout.flush()  # what was written before goes first
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(data)
+        else:  # a text stream, such as a caller's io.StringIO
+            sys.stdout.write(text)
         return
-    args.out.mkdir(parents=True, exist_ok=True)
-    tmp = args.out / f".{name}.{os.getpid()}.tmp"
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = out / f".{name}.{os.getpid()}.tmp"
     try:
-        # surrogateescape: a trace id from a non-UTF-8 file name keeps its bytes
-        with open(tmp, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, args.out / name)
+        tmp.write_bytes(data)
+        os.replace(tmp, out / name)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
 def cmd_stats(args) -> int:
-    traces = _load_traces(args)
-    print(f"{'trace':<20}" + "".join(f"{head:>{width}}" for _, head, width, _ in STATS_COLUMNS))
-    rows = []
-    for trace_id, trace in traces:
-        s = trace_stats(trace)
-        print(f"{trace_id:<20}" + "".join(_stat_cells(s, padded=True)))
-        rows.append([trace_id, *_stat_cells(s, padded=False)])
+    stats = [(trace_id, trace_stats(trace)) for trace_id, trace in _load_traces(args)]
+    lines = [f"{'trace':<20}" + "".join(f"{head:>{width}}" for _, head, width, _ in STATS_COLUMNS)]
+    lines += [f"{trace_id:<20}" + "".join(_stat_cells(s, padded=True)) for trace_id, s in stats]
+    _emit("\n".join(lines) + "\n")  # the table goes to stdout, with or without --out
     if args.out is not None:
-        _emit(args, "stats.csv", _csv_text(["trace_id", *(c[0] for c in STATS_COLUMNS)], rows))
+        rows = [[trace_id, *_stat_cells(s, padded=False)] for trace_id, s in stats]
+        _emit(_csv_text(["trace_id", *(c[0] for c in STATS_COLUMNS)], rows), args.out, "stats.csv")
     return 0
 
 
@@ -162,7 +162,7 @@ def cmd_diffdist(args) -> int:
         lines = ["rank_percent,normalized_delta"]
         lines += [f"{rank:.9f},{delta:.9f}" for rank, delta in
                   zip(curve.rank_percent.tolist(), curve.normalized_delta.tolist())]
-        _emit(args, f"{trace_id}_diffdist.csv", "\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.out, f"{trace_id}_diffdist.csv")
     return 0
 
 
@@ -188,7 +188,7 @@ def cmd_sample(args) -> int:
             columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
             lines += [f"{t},{TRIGGERS[code]},{e_wh:.6f},{p:.2f}"
                       for t, code, e_wh, p in zip(*(c.tolist() for c in columns))]
-        _emit(args, f"{trace_id}_readings.csv", "\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", args.out, f"{trace_id}_readings.csv")
     return 0
 
 
@@ -243,11 +243,9 @@ def cmd_sweep(args) -> int:
         # nmae alone can overflow here, from an error sum past float64
         if not all(math.isfinite(r.nmae) for r in result.time_based + result.event_based):
             raise MeterDeltaError(f"{trace_id}: sweep results are not finite")
-        if args.emit in ("json", "both"):
-            text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
-            _emit(args, f"{trace_id}_sweep.json", text)
-        if args.emit in ("csv", "both"):
-            _emit(args, f"{trace_id}_sweep.csv", _sweep_csv(result))
+        text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
+        _emit(text, args.out, f"{trace_id}_sweep.json")
+        _emit(_sweep_csv(result), args.out, f"{trace_id}_sweep.csv")
     return 0
 
 
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     subs["sweep"].add_argument("--dt", default=",".join(str(v) for v in DEFAULT_DT_GRID),
                                metavar="LIST")
-    subs["sweep"].add_argument("--emit", choices=("json", "csv", "both"), default="both")
 
     return parser
 

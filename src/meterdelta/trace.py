@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -79,7 +80,7 @@ class PowerTrace:
     def duration(self) -> int:
         return self.end - self.start
 
-    @property
+    @cached_property  # summed once: the powers are frozen
     def total_energy_ws(self) -> float:
         return float(self.powers.sum())
 
@@ -140,10 +141,13 @@ def _sample_array(timestamps, powers) -> np.ndarray:
 
 
 def _last_value_wins(samples: np.ndarray) -> np.ndarray:
-    """Sort by timestamp, keeping the last of equal timestamps (a meter
-    overwriting its own reading): a stable sort keeps equal ones in input order."""
-    order = np.argsort(samples["timestamp"], kind="stable")
-    ts = samples["timestamp"][order]
+    """Sort by timestamp into a new array, keeping the last of equal timestamps
+    (a meter overwriting its own reading): a stable sort keeps equal ones in input order."""
+    ts = samples["timestamp"]
+    if (ts[1:] > ts[:-1]).all():  # strictly increasing: the stable sort is the identity
+        return samples.copy()  # never the input itself, as combine_mains sums into the result
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
     last = np.ones(ts.size, dtype=bool)
     last[:-1] = ts[1:] != ts[:-1]
     if not last.all():
@@ -190,13 +194,12 @@ def trace_stats(trace: PowerTrace) -> TraceStats:
         peak_variation = float(np.abs(np.diff(trace.powers))[adjacent].max())
     else:
         peak_variation = 0.0
-    total_energy_wh = trace.total_energy_wh
     duration = trace.duration
     return TraceStats(
         peak_power_w=float(trace.powers.max()),
         peak_variation_w=peak_variation,
-        total_energy_wh=total_energy_wh,
-        mean_daily_energy_wh=total_energy_wh / (duration / SECONDS_PER_DAY),
+        total_energy_wh=trace.total_energy_wh,
+        mean_daily_energy_wh=trace.total_energy_wh / (duration / SECONDS_PER_DAY),
         coverage=len(trace) / duration,
         duration_s=duration,
         gap_count=int(np.count_nonzero(step > 1)),

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -121,14 +122,26 @@ def test_unsupported_operation_while_loading_exits_1(trace_a_file, capsys, monke
 def test_non_utf8_input_name_keeps_its_bytes(tmp_path, monkeypatch):
     f = tmp_path / os.fsdecode(b"\xffx.dat")
     f.write_text("0 100\n1 200\n")
-    # the stdout of a UTF-8 mode run, which writes such a name with surrogateescape
-    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape")
-    monkeypatch.setattr(sys, "stdout", stdout)
     out_dir = tmp_path / "out"
-    assert main(["stats", "--input", str(f), "--out", str(out_dir)]) == 0
-    stdout.flush()
-    assert stdout.buffer.getvalue().splitlines()[1].startswith(b"\xffx ")
-    assert (out_dir / "stats.csv").read_bytes().splitlines()[1].startswith(b"\xffx,200.00,")
+    # the stdout of a UTF-8 mode run, which writes such a name with surrogateescape, and
+    # one that encodes strictly, as under PYTHONIOENCODING=utf-8:strict
+    for errors in ("surrogateescape", "strict"):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["stats", "--input", str(f), "--out", str(out_dir)]) == 0
+        stdout.flush()
+        table = stdout.buffer.getvalue().splitlines()
+        assert len(table) == 2 and table[1].startswith(b"\xffx ")
+        assert (out_dir / "stats.csv").read_bytes().splitlines()[1].startswith(b"\xffx,200.00,")
+
+
+def test_stdout_may_be_a_text_stream(trace_a_file, capsys):
+    # a caller's io.StringIO has no bytes layer: it gets the same text
+    assert main(["stats", "--input", str(trace_a_file)]) == 0
+    expected = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["stats", "--input", str(trace_a_file)]) == 0
+    assert stdout.getvalue() == expected and expected.startswith("trace ")
 
 
 def test_empty_delimiter_exits_2(tmp_path, capsys):
@@ -321,17 +334,6 @@ def test_sweep_reruns_byte_identical(trace_a_file, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-def test_sweep_emit_selects_outputs(trace_a_file, tmp_path):
-    out_dir = tmp_path / "only_csv"
-    code = main(
-        ["sweep", "--input", str(trace_a_file), "--out", str(out_dir),
-         "--dt", "2", "--emit", "csv"]
-    )
-    assert code == 0
-    assert (out_dir / "trace_a_sweep.csv").exists()
-    assert not (out_dir / "trace_a_sweep.json").exists()
-
-
 def test_sweep_json_writes_null_for_inf(trace_a_file, tmp_path, capsys):
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
@@ -346,24 +348,22 @@ def test_sweep_json_writes_null_for_inf(trace_a_file, tmp_path, capsys):
     assert None not in [r["energy_wh"] for r in payload["event_based"]]
     assert "event,,inf,50,inf," in (out_dir / "trace_a_sweep.csv").read_text()
     # a finite trace whose error sum overflows float64 scores inf, which has no JSON form either
-    # and no CSV holds it either: every --emit fails before writing
+    # and no CSV holds it either: the sweep fails before writing either report
     big = tmp_path / "big.dat"
     big.write_text("0 1.5e308\n" + "".join(f"{t} 0\n" for t in range(1, 30)))
-    for emit in ("csv", "json", "both"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--dt", "30",
-                         "--rounding", "none", "--emit", emit])
-        assert code == 1
-        assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
-        assert sorted(p.name for p in out_dir.iterdir()) == ["trace_a_sweep.csv",
-                                                             "trace_a_sweep.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["sweep", "--input", str(big), "--out", str(out_dir), "--dt", "30",
+                     "--rounding", "none"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: big: sweep results are not finite\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["trace_a_sweep.csv", "trace_a_sweep.json"]
 
 
 @pytest.mark.parametrize("command", [
     ["sweep"],
     ["sample", "--strategy", "event"],
-    ["sweep", "--rounding", "none", "--emit", "csv"],
+    ["sweep", "--rounding", "none"],
     ["sample", "--strategy", "event", "--rounding", "none"],
 ])
 def test_energy_that_overflows_exits_1_at_derivation(command, tmp_path, capsys):
@@ -415,10 +415,17 @@ def test_max_gap_validation(trace_a_file):
     assert main(["stats", "--input", str(trace_a_file), "--max-gap", "0"]) == 2
 
 
-def test_unknown_flag_exits_2(trace_a_file):
+def test_unknown_flag_exits_2(trace_a_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["stats", "--input", str(trace_a_file), "--bogus"])
     assert err.value.code == 2
+    # a sweep always writes both reports: there is no flag choosing one
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--emit", "csv"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --emit csv" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_mains_modes(house_dir, capsys):

@@ -28,6 +28,7 @@ from meterdelta.errors import (
     ZeroCandidateError,
     ZeroEnergySegmentError,
 )
+from meterdelta import evaluate
 from meterdelta._kernels import library
 from meterdelta.evaluate import _intervals, _pooled_score
 from meterdelta.sampler import FINAL, INITIAL, SILENCE, WINDOW
@@ -319,6 +320,28 @@ def test_run_sweep_rows_compose_per_segment_operations_for_any_spec():
         assert row.thresholds == th
         streams = [sample_event_based(seg, th) for seg in segments]
         assert (row.nmae, row.message_count, row.compression_vs_10s) == expected(streams)
+
+
+def test_run_sweep_samples_each_segment_once_per_grid_point(monkeypatch):
+    # the traced benchmark times and counts sampling by wrapping the public samplers where
+    # run_sweep looks them up; a private sampling step would hide every call from it
+    calls = {"sample_time_based": [], "sample_event_based": []}
+    for name, seen in calls.items():
+        def counted(segment, param, sample=getattr(evaluate, name), seen=seen):
+            seen.append((segment.start, param))
+            return sample(segment, param)
+        monkeypatch.setattr(evaluate, name, counted)
+    rng = np.random.default_rng(1808)
+    trace = validate_trace(random_gappy_trace(rng, length=1500, gap_chance=0.004, max_gap=400))
+    starts = [s.start for s in segment_trace(trace, max_gap=60)]
+    assert len(starts) >= 3
+    dt_list, p_list, e_list = [10, 60, 300], [1, 5], [2, 10, 50]
+    result = run_sweep(trace, dt_list, p_list, e_list, ThresholdSpec(), max_gap=60)
+    periodic, event = calls.values()
+    assert len(periodic) == len(dt_list) * len(starts)
+    assert len(event) == len(p_list) * len(e_list) * len(starts)
+    assert periodic == [(start, dt) for dt in dt_list for start in starts]
+    assert event == [(start, row.thresholds) for row in result.event_based for start in starts]
 
 
 def test_run_sweep_deterministic():

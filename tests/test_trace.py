@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from meterdelta import (
     PowerTrace,
+    combine_mains,
     first_difference_distribution,
     segment_trace,
     trace_stats,
@@ -54,15 +56,73 @@ def test_validate_duplicates_oracle_over_permutations():
         assert trace_samples(validate_trace(list(perm))) == expected
 
 
-_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+@st.composite
+def _timestamp_runs(draw, top=2**63 - 1, max_size=40):
+    """Timestamps up to top, in any order, strictly increasing, or non-decreasing with adjacent
+    repeats. Any order draws from few values, so most such draws hold duplicates and descents."""
+    edges = st.sampled_from([-(2**63), -(2**63) + 1, top - 1, top])
+    shape = draw(st.sampled_from(["any", "increasing", "repeats"]))
+    if shape == "any":
+        return draw(st.lists(st.one_of(st.integers(-3, 3), edges), max_size=max_size))
+    wide = st.one_of(st.integers(-3, 3), edges, st.integers(-(2**63), top))
+    stamps = sorted(set(draw(st.lists(wide, max_size=max_size))))
+    if shape == "increasing":
+        return stamps
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(stamps), max_size=len(stamps)))
+    return [t for t, n in zip(stamps, repeats) for _ in range(n)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.integers(-3, 3), _EDGES), st.floats()), max_size=40))
-def test_last_value_wins_is_byte_identical_to_the_unique_route(pairs):
-    # few distinct timestamps, so most draws hold duplicates and descents
-    samples = _sample_array([t for t, _ in pairs], [p for _, p in pairs])
-    assert _last_value_wins(samples).tobytes() == unique_last_value_wins(samples).tobytes()
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=900, deadline=None)  # 300 of each shape, as a rule
+@given(_timestamp_runs(), st.data())
+def test_last_value_wins_is_byte_identical_to_the_unique_route(stamps, data):
+    powers = data.draw(st.lists(st.floats(), min_size=len(stamps), max_size=len(stamps)))
+    samples = _sample_array(stamps, powers)
+    before = samples.tobytes()
+    handler, log = _Messages(), logging.getLogger("meterdelta.trace")
+    log.addHandler(handler)
+    try:
+        result = _last_value_wins(samples)
+    finally:
+        log.removeHandler(handler)
+    expected = unique_last_value_wins(samples)
+    assert result.tobytes() == expected.tobytes()
+    assert samples.tobytes() == before
+    # warned exactly when rows are dropped, with the count of dropped rows
+    dropped = samples.size - expected.size
+    warning = f"collapsed {dropped} duplicate timestamps (last value wins)"
+    assert handler.messages == ([warning] if dropped else [])
+
+
+@st.composite
+def _raw_samples(draw):
+    """A SAMPLE_DTYPE array of one row or more that validate_trace accepts: sorted and unique,
+    sorted with duplicates, or unsorted. Powers include -0.0, which combine_mains turns into 0.0."""
+    stamps = draw(_timestamp_runs(top=2**63 - 2, max_size=12).filter(len))  # 2**63 - 1 is invalid
+    powers = st.one_of(st.just(-0.0), st.floats(0, 1e6))
+    return _sample_array(stamps, draw(st.lists(powers, min_size=len(stamps), max_size=len(stamps))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_samples(), min_size=1, max_size=3))
+def test_loaders_and_validators_neither_write_to_nor_alias_their_input(legs):
+    before = [leg.tobytes() for leg in legs]
+    total = combine_mains(legs)
+    traces = [validate_trace(leg) for leg in legs]
+    assert [leg.tobytes() for leg in legs] == before
+    results = [total.tobytes()] + [t.timestamps.tobytes() + t.powers.tobytes() for t in traces]
+    for leg in legs:  # a later write to an input leaves every result as it was
+        leg["timestamp"] ^= 1
+        leg["power"] += 1.0
+    assert [total.tobytes()] + [t.timestamps.tobytes() + t.powers.tobytes() for t in traces] == results
 
 
 def test_validate_truncates_fractional_timestamps():
