@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Subcommands:
+Subcommands (sample and sweep, which meter a trace, alone take the metering
+flags --max-gap, --p-percent, --e-percent, --power-base and --rounding):
   stats     per-trace statistics table
   diffdist  sorted, normalized one-second power-change curve as CSV
   sample    run one metering strategy and emit its readings CSV
@@ -68,8 +69,8 @@ def _numbers(text: str, kind, flag: str) -> tuple:
 
 def _check(args) -> None:
     """Validate the parsed flags, replacing the list flags by tuples of
-    numbers and adding args.spec; raises ValueError."""
-    if args.max_gap < 1:
+    numbers and, for the metering commands, adding args.spec; raises ValueError."""
+    if args.command in METERING_COMMANDS and args.max_gap < 1:
         raise ValueError("--max-gap must be >= 1")
     if len(args.delimiter) != 1:
         raise ValueError("--delimiter must be a single character")
@@ -77,13 +78,14 @@ def _check(args) -> None:
         args.dt = _numbers(args.dt, int, "--dt")
         if min(args.dt) < 1:
             raise ValueError("--dt values must be >= 1")
-    args.p_percent = _numbers(args.p_percent, float, "--p-percent")
-    args.e_percent = _numbers(args.e_percent, float, "--e-percent")
-    if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
-        raise ValueError("percent values must be positive")
-    if math.inf in args.p_percent and math.inf in args.e_percent:
-        raise ValueError("the grid cell with both percentages inf disables every trigger")
-    args.spec = ThresholdSpec(args.power_base, args.rounding)
+    if args.command in METERING_COMMANDS:
+        args.p_percent = _numbers(args.p_percent, float, "--p-percent")
+        args.e_percent = _numbers(args.e_percent, float, "--e-percent")
+        if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
+            raise ValueError("percent values must be positive")
+        if math.inf in args.p_percent and math.inf in args.e_percent:
+            raise ValueError("the grid cell with both percentages inf disables every trigger")
+        args.spec = ThresholdSpec(args.power_base, args.rounding)
     args.out = Path(args.out) if args.out else None
     if args.out is None and args.command == "sweep":
         raise ValueError("sweep needs --out")
@@ -255,6 +257,7 @@ COMMANDS = {
     "sample": (cmd_sample, "emit readings for one strategy"),
     "sweep": (cmd_sweep, "evaluate full parameter grids"),
 }
+METERING_COMMANDS = ("sample", "sweep")  # they alone segment a trace and derive thresholds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("redd", "csv"), default="redd")
     common.add_argument("--mains", choices=tuple(MAINS_MODES), default="sum",
                         help="how to combine a house directory's two mains channels")
-    common.add_argument("--max-gap", type=int, default=3600, metavar="N",
-                        help="split traces at data gaps longer than N seconds")
     common.add_argument("--timestamp-col", default="timestamp")
     common.add_argument("--power-col", default="power")
     common.add_argument("--delimiter", default=",")
@@ -273,18 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip unparseable lines instead of failing")
     common.add_argument("--out", default=None, metavar="DIR")
     common.add_argument("--log-level", default="WARNING", choices=("DEBUG", "WARNING", "ERROR"))
+    metering = argparse.ArgumentParser(add_help=False)
+    metering.add_argument("--max-gap", type=int, default=3600, metavar="N",
+                          help="split traces at data gaps longer than N seconds")
     grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
-    common.add_argument("--p-percent", default=grid, metavar="LIST")
-    common.add_argument("--e-percent", default=grid, metavar="LIST")
-    common.add_argument("--power-base", choices=POWER_BASES, default="variation")
-    common.add_argument("--rounding", choices=ROUNDING_MODES, default="ceil")
+    metering.add_argument("--p-percent", default=grid, metavar="LIST")
+    metering.add_argument("--e-percent", default=grid, metavar="LIST")
+    metering.add_argument("--power-base", choices=POWER_BASES, default="variation")
+    metering.add_argument("--rounding", choices=ROUNDING_MODES, default="ceil")
 
     parser = argparse.ArgumentParser(
         prog="meterdelta",
         description="Event-based metering with derived thresholds, benchmarked against periodic metering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subs = {name: sub.add_parser(name, parents=[common], help=text)
+    subs = {name: sub.add_parser(name, help=text, parents=[common, metering]
+                                 if name in METERING_COMMANDS else [common])
             for name, (_, text) in COMMANDS.items()}
 
     subs["sample"].add_argument("--strategy", choices=("time", "event"), required=True)

@@ -69,7 +69,9 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     grid. The stream must have been produced from the given segment.
     """
     bounds, power = _intervals(stream, segment)
-    return PowerTrace(segment.timestamps, np.repeat(power, np.diff(bounds)))
+    held = np.repeat(power, np.diff(bounds))
+    held.setflags(write=False)  # read-only, so PowerTrace keeps it rather than copying it
+    return PowerTrace(segment.timestamps, held)
 
 
 def error_components(original: PowerTrace, reconstructed: PowerTrace) -> tuple[float, float]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import library
 from .errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
-from .trace import SAMPLE_DTYPE, _as_samples, _last_value_wins, _sample_array
+from .trace import SAMPLE_DTYPE, _as_samples, _check_powers, _last_value_wins, _sample_array
 
 log = logging.getLogger(__name__)
 
@@ -215,10 +215,15 @@ def load_redd_house(house_dir, *, mains: str = "sum", tolerant: bool = False) ->
 
     The directory must contain channel_1.dat and channel_2.dat (the two
     mains legs). mains selects "sum" (per-timestamp sum over the
-    intersection), "first" or "second" (single leg).
+    intersection), "first" or "second" (single leg). Under "sum" each leg
+    must hold finite, non-negative powers, as validate_trace demands of one.
     """
     if mains not in MAINS_MODES:
         raise ValueError(f"mains must be one of {tuple(MAINS_MODES)}, got {mains!r}")
     paths = [Path(house_dir) / f"channel_{n}.dat" for n in MAINS_MODES[mains]]
     legs = [load_redd_channel(path, tolerant=tolerant) for path in paths]
-    return legs[0] if mains != "sum" else combine_mains(legs)
+    if mains != "sum":
+        return legs[0]
+    for leg in legs:  # before the sum, which could hide a negative reading
+        _check_powers(leg)
+    return combine_mains(legs)

@@ -34,21 +34,35 @@ SECONDS_PER_DAY = 86400.0
 SAMPLE_DTYPE = np.dtype([("timestamp", np.int64), ("power", np.float64)])
 
 
+def _private(values, dtype) -> np.ndarray:
+    """values as a contiguous read-only array that no caller can write: a
+    copy only if values could still be written, itself or through a base."""
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    link = arr if arr is values or arr.base is not None else None  # None: a fresh array
+    while isinstance(link, np.ndarray) and not link.flags.writeable:
+        link = link.base
+    if link is not None:  # a writable array, or a buffer numpy cannot see into
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class PowerTrace:
     """Validated power trace. Build one with :func:`validate_trace`.
 
     Timestamps are strictly increasing integer epoch seconds below 2**63 - 1;
     powers are finite, non-negative watts. Arrays are frozen after
-    construction, so a trace can be shared across threads freely.
+    construction, so a trace can be shared across threads freely: a column
+    the caller could still write, itself or through a base, is copied first.
     """
 
     timestamps: np.ndarray
     powers: np.ndarray
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
-        pw = np.ascontiguousarray(self.powers, dtype=np.float64)
+        ts = _private(self.timestamps, np.int64)
+        pw = _private(self.powers, np.float64)
         if ts.ndim != 1 or ts.shape != pw.shape:
             raise ValueError("timestamps and powers must be equal-length 1-d arrays")
         if ts.size == 0:
@@ -59,8 +73,6 @@ class PowerTrace:
             raise ValueError("powers must be finite and non-negative")
         if ts[-1] == 2**63 - 1:  # its hold interval [t, t + 1) would end past int64
             raise TimestampRangeError(2**63 - 1)
-        ts.setflags(write=False)
-        pw.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "powers", pw)
 
@@ -155,6 +167,17 @@ def _last_value_wins(samples: np.ndarray) -> np.ndarray:
     return samples[order[last]]
 
 
+def _check_powers(samples: np.ndarray) -> None:
+    """Raise NonFiniteError or NegativePowerError at the first sample, in
+    input order, whose power is not a finite, non-negative number."""
+    ts, pw = samples["timestamp"], samples["power"]
+    if not np.isfinite(pw).all():
+        raise NonFiniteError(int(ts[np.argmin(np.isfinite(pw))]))
+    if (pw < 0).any():
+        row = int(np.argmax(pw < 0))
+        raise NegativePowerError(int(ts[row]), float(pw[row]))
+
+
 def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrace:
     """Turn raw samples into a :class:`PowerTrace`.
 
@@ -171,12 +194,7 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     samples = _as_samples(raw)
     if samples.size == 0:
         raise EmptyInputError("no samples")
-    ts, pw = samples["timestamp"], samples["power"]
-    if not np.isfinite(pw).all():
-        raise NonFiniteError(int(ts[np.argmin(np.isfinite(pw))]))
-    if (pw < 0).any():
-        row = int(np.argmax(pw < 0))
-        raise NegativePowerError(int(ts[row]), float(pw[row]))
+    _check_powers(samples)
     samples = _last_value_wins(samples)
     return PowerTrace(samples["timestamp"], samples["power"])
 

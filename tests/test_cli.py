@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from meterdelta import segment_trace, validate_trace
-from meterdelta.cli import main
+from meterdelta.cli import build_parser, main
 
 from conftest import TRACE_A_POWERS
 from oracles import random_gappy_trace
@@ -411,8 +412,72 @@ def test_sweep_bad_grid_exits_2(trace_a_file, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_max_gap_validation(trace_a_file):
-    assert main(["stats", "--input", str(trace_a_file), "--max-gap", "0"]) == 2
+def test_max_gap_validation(trace_a_file, tmp_path, capsys):
+    for command in (["sample", "--strategy", "event"], ["sweep", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--input", str(trace_a_file), "--max-gap", "0"]) == 2
+        assert capsys.readouterr().err == "error: --max-gap must be >= 1\n"
+    with pytest.raises(SystemExit) as err:  # stats splits no trace: it has no --max-gap
+        main(["stats", "--input", str(trace_a_file), "--max-gap", "0"])
+    assert err.value.code == 2
+
+
+COMMON_FLAGS = {"--input", "--format", "--mains", "--timestamp-col", "--power-col", "--delimiter",
+                "--tolerant", "--out", "--log-level"}
+METERING_FLAGS = {"--max-gap", "--p-percent", "--e-percent", "--power-base", "--rounding"}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    (subcommands,) = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+             for name, sub in subcommands.choices.items()}
+    assert flags == {
+        "stats": COMMON_FLAGS,
+        "diffdist": COMMON_FLAGS,
+        "sample": COMMON_FLAGS | METERING_FLAGS
+        | {"--strategy", "--delta-t", "--delta-p", "--energy", "--max-silence"},
+        "sweep": COMMON_FLAGS | METERING_FLAGS | {"--dt"},
+    }
+    assert {name: len(f) for name, f in flags.items()} == {"stats": 9, "diffdist": 9,
+                                                          "sample": 19, "sweep": 15}
+
+
+@pytest.mark.parametrize("flag, value", [("--max-gap", "60"), ("--p-percent", "5"),
+                                         ("--e-percent", "5"), ("--power-base", "peak"),
+                                         ("--rounding", "none")])
+def test_stats_and_diffdist_reject_the_metering_flags(trace_a_file, capsys, flag, value):
+    for command in ("stats", "diffdist"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--input", str(trace_a_file), flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p-percent", "0"], "percent values must be positive"),
+    (["--e-percent", "5,nan"], "percent values must be positive"),
+    (["--p-percent", "abc"], "--p-percent expects a comma-separated list of numbers, got 'abc'"),
+    (["--e-percent", ","], "--e-percent must not be empty"),
+    (["--p-percent", "inf", "--e-percent", "inf"],
+     "the grid cell with both percentages inf disables every trigger"),
+])
+def test_sample_and_sweep_check_the_metering_flags(trace_a_file, tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    for command in (["sample", "--strategy", "event"], ["sweep", "--out", str(out_dir)]):
+        assert main([*command, "--input", str(trace_a_file), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--power-base", "--rounding"])
+def test_sample_and_sweep_take_only_the_rule_choices(trace_a_file, tmp_path, capsys, flag):
+    for command in (["sample", "--strategy", "event"], ["sweep", "--out", str(tmp_path / "out")]):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--input", str(trace_a_file), flag, "bogus"])
+        assert err.value.code == 2
+        assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(trace_a_file, tmp_path, capsys):
@@ -435,6 +500,38 @@ def test_mains_modes(house_dir, capsys):
     assert "100.00" in capsys.readouterr().out
     assert main(["stats", "--input", str(house_dir), "--mains", "second"]) == 0
     assert "60.00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("leg, alone", [(1, "first"), (2, "second")])
+def test_a_negative_leg_reading_fails_as_the_summed_house(tmp_path, capsys, leg, alone):
+    house = tmp_path / "house"
+    house.mkdir()
+    for n in (1, 2):  # the sum would read 5 W at timestamp 0
+        (house / f"channel_{n}.dat").write_text(f"0 {-5 if n == leg else 10}\n1 10\n2 10\n")
+    for mains in ("sum", alone):
+        assert main(["stats", "--input", str(house), "--mains", mains]) == 1
+        assert capsys.readouterr() == ("", "error: negative power -5.0 W at timestamp 0\n")
+
+
+def test_swapping_the_mains_legs_leaves_the_sweep_byte_identical(tmp_path):
+    rng = np.random.default_rng(1817)
+    stamps = [t for t, _ in random_gappy_trace(rng, length=900, gap_chance=0.01, max_gap=120)]
+    legs = []
+    for _ in range(2):  # each leg misses some seconds, repeats some and is out of order
+        kept = [t for t in stamps if rng.random() > 0.02]
+        kept += [int(t) for t in rng.choice(kept, 20)]
+        rng.shuffle(kept)
+        legs.append("".join(f"{t} {rng.uniform(0, 3000):.2f}\n" for t in kept))
+    reports = []
+    for side, order in (("a", legs), ("b", legs[::-1])):
+        house = tmp_path / side / "house"
+        house.mkdir(parents=True)
+        for n, text in enumerate(order, 1):
+            (house / f"channel_{n}.dat").write_text(text)
+        out = tmp_path / side / "out"
+        assert main(["sweep", "--input", str(house), "--out", str(out), "--max-gap", "60"]) == 0
+        reports.append([(out / f"house_sweep.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert reports[0] == reports[1]
 
 
 def test_multiple_inputs_one_table(trace_a_file, house_dir, capsys):
@@ -499,12 +596,13 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
     assert len(durations) >= 3 and all(d % 10 for d in durations)
     f = tmp_path / "gappy.dat"
     f.write_text("".join(f"{t} {p}\n" for t, p in samples))
-    common = ["--input", str(f), "--max-gap", "60"]
+    common = ["--input", str(f)]
+    metering = [*common, "--max-gap", "60"]
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    assert main(["sweep", *common, "--out", str(tmp_path / "out")]) == 0
+    assert main(["sweep", *metering, "--out", str(tmp_path / "out")]) == 0
     got = {
         "sweep.json": sha((tmp_path / "out" / "gappy_sweep.json").read_bytes()),
         "sweep.csv": sha((tmp_path / "out" / "gappy_sweep.csv").read_bytes()),
@@ -514,7 +612,7 @@ def test_outputs_match_pinned_digests(tmp_path, capsys):
         ("sample_event", ["--strategy", "event"]),
         ("sample_time_dt7", ["--strategy", "time", "--delta-t", "7"]),
     ):
-        assert main(["sample", *common, *extra]) == 0
+        assert main(["sample", *metering, *extra]) == 0
         got[name] = sha(capsys.readouterr().out.encode("utf-8"))
     # a second input whose trace id holds a comma pins the csv quoting
     f2 = tmp_path / "gappy,b.dat"

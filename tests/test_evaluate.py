@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meterdelta import (
     DEFAULT_DT_GRID,
@@ -380,3 +382,73 @@ def test_run_sweep_compression_reference_present_even_without_dt10():
     ref = sum(message_count(sample_time_based(s, 10)) for s in segments)
     row = result.time_based[0]
     assert row.compression_vs_10s == ref / row.message_count
+
+
+# The paper's claim, that thresholds set as a percentage of a house's own peak
+# fit houses of any size, holds exactly in float64 without rounding: scaling
+# every power by 2**k scales every threshold by 2**k and leaves every trigger
+# decision and every error ratio as it was. Shifting the clock changes nothing.
+@st.composite
+def sweep_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 50, 300]))
+    ts, pw = np.array(random_gappy_trace(rng, length=n, gap_chance=0.05, max_gap=90)).T
+    if draw(st.booleans()):  # 2-decimal watts, as in channel files: inexact in binary
+        pw = np.round(np.abs(pw + rng.normal(0.0, 7.0, n)), 2)
+    trace = PowerTrace(ts.astype(np.int64), pw)
+    spec = ThresholdSpec(draw(st.sampled_from(["variation", "peak"])), "none")
+    stats = trace_stats(trace)
+    base = stats.peak_variation_w if spec.power_base == "variation" else stats.peak_power_w
+    assume(base > 0 and stats.mean_daily_energy_wh > 0)
+    max_gap = draw(st.sampled_from([1, 30, 3600]))
+    return trace, spec, max_gap
+
+
+def _sweep(trace, spec, max_gap):
+    return run_sweep(trace, [1, 7, 60], [1, 20, math.inf], [0.5, 10], spec, max_gap=max_gap)
+
+
+def _scores(result):
+    """Every row without its thresholds, as text that tells every float bit apart."""
+    return repr([(r.dt, r.p_percent, r.e_percent, r.nmae, r.message_count, r.compression_vs_10s)
+                 for r in result.time_based + result.event_based])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases(), st.integers(-4, 4))
+def test_scaling_every_power_by_2_to_the_k_scales_only_the_thresholds(case, k):
+    trace, spec, max_gap = case
+    base = _sweep(trace, spec, max_gap)
+    scaled = _sweep(PowerTrace(trace.timestamps, trace.powers * 2.0**k), spec, max_gap)
+    assert _scores(scaled) == _scores(base)
+    for a, b in zip(base.event_based, scaled.event_based):
+        assert b.thresholds.power_delta_w == a.thresholds.power_delta_w * 2.0**k
+        assert b.thresholds.energy_wh == a.thresholds.energy_wh * 2.0**k
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases(), st.data())
+def test_shifting_every_timestamp_changes_no_row(case, data):
+    trace, spec, max_gap = case
+    first, last = int(trace.timestamps[0]), int(trace.timestamps[-1])
+    shift = data.draw(st.one_of(st.sampled_from([-(2**63) - first, 2**63 - 2 - last]),
+                                st.integers(-(2**63) - first, 2**63 - 2 - last)))
+    shifted = PowerTrace(np.array([t + shift for t in trace.timestamps.tolist()]), trace.powers)
+    assert repr(_sweep(shifted, spec, max_gap)) == repr(_sweep(trace, spec, max_gap))
+
+
+def test_ceil_rounding_breaks_the_scale_relation_where_a_base_crosses_a_whole_kw():
+    # 400 W steps; doubled, 800 W steps. Under ceil both peak variations round up to
+    # the same 1 kW, so 50 % of it is 500 W for both houses: the small house's steps
+    # no longer fire, where without rounding both fire at every step
+    ts = np.arange(600)
+    small = PowerTrace(ts, np.where(ts // 30 % 2, 500.0, 100.0))
+    large = PowerTrace(ts, small.powers * 2.0)
+    rows = {rounding: [run_sweep(t, [10], [50], [math.inf], ThresholdSpec("variation", rounding),
+                                 max_gap=60).event_based[0] for t in (small, large)]
+            for rounding in ("ceil", "none")}
+    assert [r.thresholds.power_delta_w for r in rows["ceil"]] == [500.0, 500.0]
+    assert [r.message_count for r in rows["ceil"]] == [1, 20]
+    assert [r.thresholds.power_delta_w for r in rows["none"]] == [200.0, 400.0]
+    assert [r.message_count for r in rows["none"]] == [20, 20]
+    assert rows["none"][0].nmae == rows["none"][1].nmae == 0.0

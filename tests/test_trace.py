@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,39 @@ def test_validate_rejects_the_top_int64_timestamp():
 def test_power_trace_rejects_what_validate_trace_never_builds(timestamps, powers, message):
     with pytest.raises(ValueError, match=message):
         PowerTrace(np.array(timestamps, dtype=np.int64), np.array(powers))
+
+
+def test_power_trace_copies_only_the_columns_a_caller_can_still_write():
+    ts, base = np.arange(3), np.array([1.0, 2.0, 3.0])
+    locked = base[:]
+    locked.setflags(write=False)  # still writable through its base
+    for powers in (base[:], locked):
+        trace = PowerTrace(ts, powers)
+        assert trace.total_energy_ws == 6.0
+        ts[0], base[0] = -1, 100.0  # the caller's own arrays stay writable
+        assert trace.timestamps.tolist() == [0, 1, 2] and trace.powers.tolist() == [1.0, 2.0, 3.0]
+        ts[0], base[0] = 0, 1.0
+    # columns no caller can write are kept: a trace's own, and each segment's views of them
+    whole = validate_trace([(t, 1.0) for t in (0, 1, 2, 50, 51)])
+    again = PowerTrace(whole.timestamps, whole.powers)
+    assert again.timestamps is whole.timestamps and again.powers is whole.powers
+    for seg in segment_trace(whole, 10):
+        assert np.shares_memory(seg.timestamps, whole.timestamps)
+        assert np.shares_memory(seg.powers, whole.powers)
+
+
+def test_validate_trace_allocates_each_column_once():
+    raw = _sample_array(np.arange(100_000), np.ones(100_000))
+    validate_trace(raw)  # warm-up: nothing first-call-only is counted below
+    tracemalloc.start()
+    try:
+        validate_trace(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted copy of the samples and one contiguous copy of each column: 2 x raw;
+    # copying the columns a second time would peak at 2.5 x raw
+    assert peak < 2.25 * raw.nbytes
 
 
 def test_stats_trace_a(trace_a):
