@@ -91,8 +91,11 @@ def _check(args) -> None:
         raise ValueError("sweep needs --out")
     if args.out is None and args.command in ("diffdist", "sample") and len(args.input) > 1:
         raise ValueError("multiple inputs need --out (stdout handles one trace)")
-    if args.command == "sample" and args.strategy == "time":
-        if args.delta_t is None or args.delta_t < 1:
+    if args.command == "sample":
+        unread = ("delta_p", "energy", "max_silence") if args.strategy == "time" else ("delta_t",)
+        if given := [f"--{n.replace('_', '-')}" for n in unread if getattr(args, n) is not None]:
+            raise ValueError(f"--strategy {args.strategy} does not read {', '.join(given)}")
+        if args.strategy == "time" and (args.delta_t is None or args.delta_t < 1):
             raise ValueError("time strategy needs --delta-t >= 1")
 
 

@@ -69,9 +69,7 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     grid. The stream must have been produced from the given segment.
     """
     bounds, power = _intervals(stream, segment)
-    held = np.repeat(power, np.diff(bounds))
-    held.setflags(write=False)  # read-only, so PowerTrace keeps it rather than copying it
-    return PowerTrace(segment.timestamps, held)
+    return PowerTrace(segment.timestamps, np.repeat(power, np.diff(bounds)))
 
 
 def error_components(original: PowerTrace, reconstructed: PowerTrace) -> tuple[float, float]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import library
 from .thresholds import Thresholds
-from .trace import SECONDS_PER_HOUR, PowerTrace
+from .trace import SECONDS_PER_HOUR, PowerTrace, _set_columns
 
 TRIGGERS = ("initial", "power_delta", "energy", "silence", "window", "final")
 INITIAL, POWER_DELTA, ENERGY, SILENCE, WINDOW, FINAL = range(len(TRIGGERS))
@@ -37,8 +37,9 @@ class ReadingStream:
     energy_ws[i] is the energy accumulated since reading i - 1 (zero for the
     initial baseline); power_w[i] is the instantaneous power at that time
     under the left-hold convention. The first and last timestamps are the
-    segment's start and exclusive end. The arrays are frozen after
-    construction and must be of equal length.
+    segment's start and exclusive end. As in a PowerTrace, the columns are
+    non-empty, equal-length 1-d arrays, frozen, each copied first if its
+    caller could still write it.
     """
 
     timestamps: np.ndarray
@@ -47,13 +48,8 @@ class ReadingStream:
     power_w: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("timestamps", np.int64), ("triggers", np.uint8),
-                            ("energy_ws", np.float64), ("power_w", np.float64)):
-            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if len({c.shape for c in (self.timestamps, self.triggers, self.energy_ws, self.power_w)}) > 1:
-            raise ValueError("reading columns must be equal-length arrays")
+        _set_columns(self, timestamps=np.int64, triggers=np.uint8, energy_ws=np.float64,
+                     power_w=np.float64)
 
     @property
     def total_energy_ws(self) -> float:

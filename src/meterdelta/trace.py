@@ -47,6 +47,18 @@ def _private(values, dtype) -> np.ndarray:
     return arr
 
 
+def _set_columns(record, **dtypes) -> None:
+    """Replace each named field of a frozen dataclass record by _private(field,
+    dtype); the columns must be non-empty, equal-length 1-d arrays."""
+    columns = [_private(getattr(record, name), dtype) for name, dtype in dtypes.items()]
+    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+        raise ValueError(f"{' and '.join(dtypes)} must be equal-length 1-d arrays")
+    if columns[0].size == 0:
+        raise ValueError(f"a {type(record).__name__} needs at least one sample")
+    for name, column in zip(dtypes, columns):
+        object.__setattr__(record, name, column)
+
+
 @dataclass(frozen=True, eq=False)
 class PowerTrace:
     """Validated power trace. Build one with :func:`validate_trace`.
@@ -61,20 +73,14 @@ class PowerTrace:
     powers: np.ndarray
 
     def __post_init__(self):
-        ts = _private(self.timestamps, np.int64)
-        pw = _private(self.powers, np.float64)
-        if ts.ndim != 1 or ts.shape != pw.shape:
-            raise ValueError("timestamps and powers must be equal-length 1-d arrays")
-        if ts.size == 0:
-            raise ValueError("a trace needs at least one sample")
+        _set_columns(self, timestamps=np.int64, powers=np.float64)
+        ts, pw = self.timestamps, self.powers
         if ts.size > 1 and not np.all(ts[1:] > ts[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(pw)) or np.any(pw < 0):
             raise ValueError("powers must be finite and non-negative")
         if ts[-1] == 2**63 - 1:  # its hold interval [t, t + 1) would end past int64
             raise TimestampRangeError(2**63 - 1)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "powers", pw)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)

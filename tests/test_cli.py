@@ -265,6 +265,18 @@ def test_sample_time_requires_delta_t(trace_a_file, capsys):
         assert "error: time strategy needs --delta-t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy, flags, unread", [
+    ("time", ["--delta-t", "2", "--delta-p", "1", "--max-silence", "1"], "--delta-p, --max-silence"),
+    ("time", ["--delta-t", "2", "--energy", "1"], "--energy"),
+    ("event", ["--delta-t", "2", "--delta-p", "1000"], "--delta-t"),
+])
+def test_sample_rejects_the_other_strategys_flags(tmp_path, capsys, strategy, flags, unread):
+    # the input does not exist: the flags are checked before any input is read
+    missing = str(tmp_path / "missing.dat")
+    assert main(["sample", "--input", missing, "--strategy", strategy, *flags]) == 2
+    assert capsys.readouterr().err == f"error: --strategy {strategy} does not read {unread}\n"
+
+
 def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
     huge = "99999999999999999999"
     code = main(

@@ -84,9 +84,15 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
             reconstruct(stream, segment_a)
         with pytest.raises(MismatchedSegmentError):
             _pooled_score([segment_a], [stream])
-    # the scoring kernel reads the energies as one per reading interval
+    # the scoring kernel reads the energies as one per reading interval, from
+    # 1-d columns, and an empty stream has no segment start to tile from
     with pytest.raises(ValueError, match="equal-length"):
         ReadingStream(full.timestamps, full.triggers, full.energy_ws[:2], full.power_w)
+    columns = (full.timestamps, full.triggers, full.energy_ws, full.power_w)
+    with pytest.raises(ValueError, match="equal-length"):
+        ReadingStream(*(np.stack([column, column]) for column in columns))
+    with pytest.raises(ValueError, match="at least one"):
+        ReadingStream([], [], [], [])
 
 
 def scoring_cases():

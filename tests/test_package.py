@@ -3,6 +3,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import meterdelta
 from meterdelta.cli import build_parser
 
@@ -26,3 +28,9 @@ def test_readme_cli_flags_match_the_parser():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cli))
     assert sorted(documented - options) == []  # README names no flag the parser lacks
     assert sorted(options - documented) == []  # and leaves none out
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert meterdelta.__version__ == tomllib.loads(pyproject)["project"]["version"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from meterdelta import (
     PowerTrace,
+    ReadingStream,
     combine_mains,
     first_difference_distribution,
     segment_trace,
@@ -196,9 +197,13 @@ def test_power_trace_copies_only_the_columns_a_caller_can_still_write():
     locked.setflags(write=False)  # still writable through its base
     for powers in (base[:], locked):
         trace = PowerTrace(ts, powers)
+        stream = ReadingStream(ts, [0, 4, 5], powers, powers)  # a reading stream keeps the same rule
         assert trace.total_energy_ws == 6.0
         ts[0], base[0] = -1, 100.0  # the caller's own arrays stay writable
-        assert trace.timestamps.tolist() == [0, 1, 2] and trace.powers.tolist() == [1.0, 2.0, 3.0]
+        for timestamps, *columns in ((trace.timestamps, trace.powers),
+                                     (stream.timestamps, stream.energy_ws, stream.power_w)):
+            assert timestamps.tolist() == [0, 1, 2]
+            assert all(column.tolist() == [1.0, 2.0, 3.0] for column in columns)
         ts[0], base[0] = 0, 1.0
     # columns no caller can write are kept: a trace's own, and each segment's views of them
     whole = validate_trace([(t, 1.0) for t in (0, 1, 2, 50, 51)])
