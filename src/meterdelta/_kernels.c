@@ -179,25 +179,45 @@ int64_t scan_channel(const char *text, int64_t len, sample *out, int64_t room)
     return rows;
 }
 
+/* Row k of a leg read through its row indices: idx[k], or k when idx is NULL. */
+#define ROW(leg, idx, k) (leg)[(idx) ? (idx)[k] : (k)]
+
 /* Mains legs merged on their common timestamps; see ingest.combine_mains.
  *
- * a and b are sorted by timestamp, each timestamp at most once. Writes each
- * common timestamp with the power a + b and returns the number of rows
- * written, at most min(na, nb). out may be a itself: row k of out is
- * written only after row k of a has been read.
+ * Leg a is read through its row indices ia (NULL: in file order), b through
+ * ib; read so, each leg is sorted by timestamp, each timestamp at most once.
+ * Writes each common timestamp with the power 0.0 + a + b and returns the
+ * number of rows written, at most min(na, nb). out may be a itself only when
+ * ia is NULL: row k of out is written only after row k of a has been read.
  */
-int64_t merge_legs(const sample *a, int64_t na, const sample *b, int64_t nb, sample *out)
+int64_t merge_legs(const sample *a, const int64_t *ia, int64_t na, const sample *b,
+                   const int64_t *ib, int64_t nb, sample *out)
 {
     int64_t i = 0, j = 0, rows = 0;
     while (i < na && j < nb) {
-        if (a[i].timestamp < b[j].timestamp) {
+        sample x = ROW(a, ia, i), y = ROW(b, ib, j);
+        if (x.timestamp < y.timestamp) {
             i++;
-        } else if (a[i].timestamp > b[j].timestamp) {
+        } else if (x.timestamp > y.timestamp) {
             j++;
         } else {
-            out[rows].timestamp = a[i].timestamp;
-            out[rows++].power = a[i++].power + b[j++].power;
+            out[rows].timestamp = x.timestamp;
+            out[rows++].power = 0.0 + x.power + y.power;
+            i++, j++;
         }
     }
     return rows;
+}
+
+/* Last value wins; see trace._last_value_wins. order holds the n rows of s
+ * stably sorted by timestamp. Keeps, in place and in order, the last row of
+ * each timestamp and returns how many rows it kept.
+ */
+int64_t last_rows(const sample *s, int64_t *order, int64_t n)
+{
+    int64_t kept = 0;
+    for (int64_t k = 0; k < n; k++)
+        if (k + 1 == n || s[order[k]].timestamp != s[order[k + 1]].timestamp)
+            order[kept++] = order[k];
+    return kept;
 }

@@ -1,7 +1,8 @@
-"""The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler),
-the held-error pass (evaluate), the channel-file scan and the leg merge (ingest).
+"""The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler), the
+held-error pass (evaluate), the channel-file scan and the leg merge, which reads a
+leg through row indices or, for None, in file order (ingest), and last-value-wins (trace).
 
-All four come from one shared library, built with cc at the first call of
+All five come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
@@ -54,6 +55,8 @@ def library() -> ctypes.CDLL:
     kernels = ctypes.CDLL(str(lib))
     column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
     f64, i64, rows = column(np.float64), column(np.int64), column(SAMPLE_DTYPE)
+    class order:  # row indices, or None for file order (a NULL pointer)
+        from_param = staticmethod(lambda obj: obj if obj is None else i64.from_param(obj))
     kernels.event_scan.argtypes = [i64, f64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                                    ctypes.c_uint64, i64, column(np.uint8), f64]
     kernels.event_scan.restype = ctypes.c_int64
@@ -61,6 +64,8 @@ def library() -> ctypes.CDLL:
     kernels.scan_channel.restype = ctypes.c_int64
     kernels.held_errors.argtypes = [f64, i64, f64, ctypes.c_int64, f64]
     kernels.held_errors.restype = None
-    kernels.merge_legs.argtypes = [rows, ctypes.c_int64, rows, ctypes.c_int64, rows]
+    kernels.merge_legs.argtypes = [rows, order, ctypes.c_int64, rows, order, ctypes.c_int64, rows]
     kernels.merge_legs.restype = ctypes.c_int64
+    kernels.last_rows.argtypes = [rows, i64, ctypes.c_int64]
+    kernels.last_rows.restype = ctypes.c_int64
     return kernels

@@ -70,6 +70,16 @@ def _numbers(text: str, kind, flag: str) -> tuple:
 def _check(args) -> None:
     """Validate the parsed flags, replacing the list flags by tuples of
     numbers and, for the metering commands, adding args.spec; raises ValueError."""
+    if args.command == "sample":  # while a threshold-rule flag not given is still None
+        time, derived = args.strategy == "time", args.delta_p is None and args.energy is None
+        other = ("delta_p", "energy", "max_silence") if time else ("delta_t",)
+        rule = () if derived and not time else ("p_percent", "e_percent", "power_base", "rounding")
+        for mode, unread in ((args.strategy, other),
+                             ("time" if time else "event with --delta-p or --energy", rule)):
+            if given := [f"--{n.replace('_', '-')}" for n in unread if getattr(args, n) is not None]:
+                raise ValueError(f"--strategy {mode} does not read {', '.join(given)}")
+        if time and (args.delta_t is None or args.delta_t < 1):
+            raise ValueError("time strategy needs --delta-t >= 1")
     if args.command in METERING_COMMANDS and args.max_gap < 1:
         raise ValueError("--max-gap must be >= 1")
     if len(args.delimiter) != 1:
@@ -79,24 +89,19 @@ def _check(args) -> None:
         if min(args.dt) < 1:
             raise ValueError("--dt values must be >= 1")
     if args.command in METERING_COMMANDS:
-        args.p_percent = _numbers(args.p_percent, float, "--p-percent")
-        args.e_percent = _numbers(args.e_percent, float, "--e-percent")
+        grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)  # for a flag not given
+        args.p_percent = _numbers(grid if args.p_percent is None else args.p_percent, float, "--p-percent")
+        args.e_percent = _numbers(grid if args.e_percent is None else args.e_percent, float, "--e-percent")
         if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
             raise ValueError("percent values must be positive")
         if math.inf in args.p_percent and math.inf in args.e_percent:
             raise ValueError("the grid cell with both percentages inf disables every trigger")
-        args.spec = ThresholdSpec(args.power_base, args.rounding)
+        args.spec = ThresholdSpec(args.power_base or "variation", args.rounding or "ceil")
     args.out = Path(args.out) if args.out else None
     if args.out is None and args.command == "sweep":
         raise ValueError("sweep needs --out")
     if args.out is None and args.command in ("diffdist", "sample") and len(args.input) > 1:
         raise ValueError("multiple inputs need --out (stdout handles one trace)")
-    if args.command == "sample":
-        unread = ("delta_p", "energy", "max_silence") if args.strategy == "time" else ("delta_t",)
-        if given := [f"--{n.replace('_', '-')}" for n in unread if getattr(args, n) is not None]:
-            raise ValueError(f"--strategy {args.strategy} does not read {', '.join(given)}")
-        if args.strategy == "time" and (args.delta_t is None or args.delta_t < 1):
-            raise ValueError("time strategy needs --delta-t >= 1")
 
 
 def _load_traces(args) -> list[tuple[str, PowerTrace]]:
@@ -280,11 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     metering = argparse.ArgumentParser(add_help=False)
     metering.add_argument("--max-gap", type=int, default=3600, metavar="N",
                           help="split traces at data gaps longer than N seconds")
-    grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)
-    metering.add_argument("--p-percent", default=grid, metavar="LIST")
-    metering.add_argument("--e-percent", default=grid, metavar="LIST")
-    metering.add_argument("--power-base", choices=POWER_BASES, default="variation")
-    metering.add_argument("--rounding", choices=ROUNDING_MODES, default="ceil")
+    metering.add_argument("--p-percent", metavar="LIST")
+    metering.add_argument("--e-percent", metavar="LIST")
+    metering.add_argument("--power-base", choices=POWER_BASES)
+    metering.add_argument("--rounding", choices=ROUNDING_MODES)
 
     parser = argparse.ArgumentParser(
         prog="meterdelta",

@@ -199,12 +199,19 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     """
     if not channels:
         raise EmptyInputError("need at least one channel")
-    legs = [_last_value_wins(_as_samples(ch)) for ch in channels]
-    total = legs[0]
-    total["power"] += 0.0  # the builtin sum's start, which turns -0.0 into 0.0
-    for leg in legs[1:]:  # in place, as row k of the merge never passes row k of total
-        total = total[:library().merge_legs(total, total.size, leg, leg.size, total)]
-    dropped = [leg.size - total.size for leg in legs]
+    legs = [np.ascontiguousarray(_as_samples(ch)) for ch in channels]  # C reads rows in place
+    orders = [_last_value_wins(leg) for leg in legs]
+    sizes = [leg.size if rows is None else rows.size for leg, rows in zip(legs, orders)]
+    if len(legs) == 1:  # a gather, or a copy: never the input, as 0.0 is added in place
+        total = legs[0].copy() if orders[0] is None else legs[0][orders[0]]
+        total["power"] += 0.0  # the builtin sum's start, which turns -0.0 into 0.0
+    else:  # the first two legs into a fresh array, then each later one into that array
+        merge, total = library().merge_legs, np.empty(min(sizes[:2]), SAMPLE_DTYPE)
+        n = merge(legs[0], orders[0], sizes[0], legs[1], orders[1], sizes[1], total)
+        for leg, rows, size in zip(legs[2:], orders[2:], sizes[2:]):
+            n = merge(total, None, n, leg, rows, size, total)
+        total = total[:n]
+    dropped = [size - total.size for size in sizes]
     if any(dropped):
         log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)
     return total

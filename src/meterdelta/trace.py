@@ -158,19 +158,18 @@ def _sample_array(timestamps, powers) -> np.ndarray:
     return samples
 
 
-def _last_value_wins(samples: np.ndarray) -> np.ndarray:
-    """Sort by timestamp into a new array, keeping the last of equal timestamps
-    (a meter overwriting its own reading): a stable sort keeps equal ones in input order."""
+def _last_value_wins(samples: np.ndarray) -> np.ndarray | None:
+    """The indices of samples' rows in timestamp order, keeping the last of equal timestamps
+    (a meter overwriting its own reading), or None when every row stays, in place."""
     ts = samples["timestamp"]
     if (ts[1:] > ts[:-1]).all():  # strictly increasing: the stable sort is the identity
-        return samples.copy()  # never the input itself, as combine_mains sums into the result
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    last = np.ones(ts.size, dtype=bool)
-    last[:-1] = ts[1:] != ts[:-1]
-    if not last.all():
-        log.warning("collapsed %d duplicate timestamps (last value wins)", ts.size - last.sum())
-    return samples[order[last]]
+        return None
+    from ._kernels import library  # here, not at the top: _kernels imports this module
+    order = np.argsort(ts, kind="stable")  # keeps equal timestamps in input order
+    rows = order[:library().last_rows(np.ascontiguousarray(samples), order, order.size)]
+    if rows.size < order.size:
+        log.warning("collapsed %d duplicate timestamps (last value wins)", order.size - rows.size)
+    return rows
 
 
 def _check_powers(samples: np.ndarray) -> None:
@@ -201,8 +200,8 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
     if samples.size == 0:
         raise EmptyInputError("no samples")
     _check_powers(samples)
-    samples = _last_value_wins(samples)
-    return PowerTrace(samples["timestamp"], samples["power"])
+    rows, ts, pw = _last_value_wins(samples), samples["timestamp"], samples["power"]
+    return PowerTrace(ts, pw) if rows is None else PowerTrace(ts[rows], pw[rows])
 
 
 def _steps(timestamps: np.ndarray) -> np.ndarray:

@@ -277,6 +277,24 @@ def test_sample_rejects_the_other_strategys_flags(tmp_path, capsys, strategy, fl
     assert capsys.readouterr().err == f"error: --strategy {strategy} does not read {unread}\n"
 
 
+@pytest.mark.parametrize("strategy, flags, message", [
+    (["time", "--delta-t", "2"], ["--p-percent", "5", "--rounding", "none"],
+     "--strategy time does not read --p-percent, --rounding"),
+    (["event", "--delta-p", "5"], ["--power-base", "peak"],
+     "--strategy event with --delta-p or --energy does not read --power-base"),
+    (["event", "--energy", "1", "--delta-p", "5"],
+     ["--rounding", "ceil", "--e-percent", "1", "--power-base", "variation", "--p-percent", "1"],
+     "--strategy event with --delta-p or --energy does not read "
+     "--p-percent, --e-percent, --power-base, --rounding"),
+])
+def test_sample_rejects_the_threshold_rule_flags_where_it_derives_no_thresholds(
+        tmp_path, capsys, strategy, flags, message):
+    # given with their default values too, and checked before any input is read
+    missing = str(tmp_path / "missing.dat")
+    assert main(["sample", "--input", missing, "--strategy", *strategy, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
     huge = "99999999999999999999"
     code = main(

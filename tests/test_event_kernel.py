@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterdelta import PowerTrace, Thresholds, sample_event_based, segment_trace, validate_trace
-from meterdelta._kernels import library
+from meterdelta._kernels import SOURCE, library
 from oracles import python_event_readings, random_gappy_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -219,3 +219,10 @@ def test_concurrent_first_builds_all_succeed(tmp_path, monkeypatch):
     for p in procs:
         p.stderr.close()
     assert [p.suffix for p in (tmp_path / "procs" / "meterdelta").iterdir()] == [".so"]
+
+
+def test_kernel_source_compiles_without_a_warning(tmp_path):
+    # stricter than the build, whose flags (and so its cache key) this leaves alone
+    done = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o",
+                           str(tmp_path / "k.o"), str(SOURCE)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@ import io
 import locale
 import os
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from meterdelta import combine_mains, dump_redd_channel, load_csv, load_redd_channel, load_redd_house
 from meterdelta.errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
+from meterdelta.trace import SAMPLE_DTYPE, _sample_array
 from oracles import sorted_leg_sum
 
 
@@ -273,10 +275,51 @@ def test_leg_sum_is_bit_identical_to_the_reference_routes(legs):
     references = [(legs, common, total)]
     if len(legs) == 2:  # and the sorted route, in both leg orders
         references += [(pair, *sorted_leg_sum(pair)) for pair in (legs, legs[::-1])]
+    # each leg also as a SAMPLE_DTYPE array, in every layout, one layout per leg in turn
+    for shift in range(len(LAYOUTS)):
+        arrays = [_laid_out(leg, LAYOUTS[(k + shift) % len(LAYOUTS)]) for k, leg in enumerate(legs)]
+        references.append((arrays, common, total))
     for channels, timestamps, powers in references:
         combined = combine_mains(channels)
         assert combined["timestamp"].tolist() == timestamps
         assert combined["power"].tobytes() == powers.tobytes()
+
+
+LAYOUTS = ("contiguous", "reversed", "every other row")
+
+
+def _laid_out(pairs, layout):
+    """pairs as a SAMPLE_DTYPE array holding the same rows in the same order: contiguous, a
+    [::-1] view of the rows reversed, or every other row of a larger array whose other rows
+    would change the sum if read."""
+    rows = _sample_array([t for t, _ in pairs], [p for _, p in pairs])
+    if layout == "reversed":
+        return rows[::-1].copy()[::-1]
+    if layout == "every other row":
+        wide = np.zeros(2 * rows.size, SAMPLE_DTYPE)
+        wide["power"] = 1e300
+        wide[1::2] = rows
+        return wide[1::2]
+    return rows
+
+
+def test_combine_mains_holds_no_sorted_copy_of_a_leg():
+    rng = np.random.default_rng(5)
+    legs = []
+    for _ in range(2):  # unsorted, with a duplicate timestamp every 100 rows
+        stamps = rng.permutation(100_000)
+        stamps[::100] = stamps[1::100]
+        legs.append(_sample_array(stamps, rng.random(stamps.size)))
+    combine_mains(legs)  # warm-up: nothing first-call-only is counted below
+    tracemalloc.start()
+    try:
+        combine_mains(legs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two legs' row orders (half a leg each) and the total: 2 x one leg;
+    # a sorted copy of each leg besides would peak at 3.5 x one leg
+    assert peak < 2.25 * legs[0].nbytes
 
 
 @pytest.fixture
