@@ -32,7 +32,6 @@ from .evaluate import (
 )
 from .ingest import (
     combine_mains,
-    dump_redd_channel,
     load_csv,
     load_redd_channel,
     load_redd_house,
@@ -89,7 +88,6 @@ __all__ = [
     "combine_mains",
     "compression_ratio",
     "derive_thresholds",
-    "dump_redd_channel",
     "error_components",
     "first_difference_distribution",
     "load_csv",

@@ -13,8 +13,9 @@ outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
 0 success; 1 input or parse error (any MeterDeltaError or OSError, such as
 input that is not UTF-8 text, a trace whose energy overflows float64, or
 non-finite sweep results, before either report is written); 2 settings error
-(any other ValueError, such as a NaN percentage, inf in both grids, a cell
-whose derived thresholds all overflow to inf, or two inputs with one trace id).
+(any other ValueError, such as a flag that the --format or the sample
+strategy does not read, more than one percentage given to sample, a NaN
+percentage, inf in both grids, or two inputs with one trace id).
 """
 from __future__ import annotations
 
@@ -67,35 +68,46 @@ def _numbers(text: str, kind, flag: str) -> tuple:
     return values
 
 
+def _refuse(args, mode: str, names) -> None:
+    """Raise ValueError naming each flag of names that was given (not None): mode does not read it."""
+    if given := [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]:
+        raise ValueError(f"{mode} does not read {', '.join(given)}")
+
+
 def _check(args) -> None:
     """Validate the parsed flags, replacing the list flags by tuples of
     numbers and, for the metering commands, adding args.spec; raises ValueError."""
-    if args.command == "sample":  # while a threshold-rule flag not given is still None
+    # first, while a flag not given is still None
+    _refuse(args, f"--format {args.format}", FORMAT_FLAGS["redd" if args.format == "csv" else "csv"])
+    if args.format == "redd" and not any(map(os.path.isdir, args.input)):
+        _refuse(args, "--format redd on channel files", ("mains",))
+    vars(args).update({n: v for n, v in FORMAT_FLAGS[args.format].items() if getattr(args, n) is None})
+    if args.command == "sample":
         time, derived = args.strategy == "time", args.delta_p is None and args.energy is None
-        other = ("delta_p", "energy", "max_silence") if time else ("delta_t",)
-        rule = () if derived and not time else ("p_percent", "e_percent", "power_base", "rounding")
-        for mode, unread in ((args.strategy, other),
-                             ("time" if time else "event with --delta-p or --energy", rule)):
-            if given := [f"--{n.replace('_', '-')}" for n in unread if getattr(args, n) is not None]:
-                raise ValueError(f"--strategy {mode} does not read {', '.join(given)}")
+        _refuse(args, f"--strategy {args.strategy}",
+                ("delta_p", "energy", "max_silence") if time else ("delta_t",))
+        _refuse(args, "--strategy time" if time else "--strategy event with --delta-p or --energy",
+                () if derived and not time else ("p_percent", "e_percent", "power_base", "rounding"))
         if time and (args.delta_t is None or args.delta_t < 1):
             raise ValueError("time strategy needs --delta-t >= 1")
     if args.command in METERING_COMMANDS and args.max_gap < 1:
         raise ValueError("--max-gap must be >= 1")
-    if len(args.delimiter) != 1:
+    if args.format == "csv" and len(args.delimiter) != 1:
         raise ValueError("--delimiter must be a single character")
     if args.command == "sweep":
         args.dt = _numbers(args.dt, int, "--dt")
         if min(args.dt) < 1:
             raise ValueError("--dt values must be >= 1")
-    if args.command in METERING_COMMANDS:
-        grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID)  # for a flag not given
+    if args.command in METERING_COMMANDS:  # a flag not given reads the grid; sample its first value
+        grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID[:1 if args.command == "sample" else None])
         args.p_percent = _numbers(grid if args.p_percent is None else args.p_percent, float, "--p-percent")
         args.e_percent = _numbers(grid if args.e_percent is None else args.e_percent, float, "--e-percent")
         if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
             raise ValueError("percent values must be positive")
         if math.inf in args.p_percent and math.inf in args.e_percent:
             raise ValueError("the grid cell with both percentages inf disables every trigger")
+        if args.command == "sample" and len(args.p_percent + args.e_percent) > 2:
+            raise ValueError("sample reads one --p-percent and one --e-percent value")
         args.spec = ThresholdSpec(args.power_base or "variation", args.rounding or "ceil")
     args.out = Path(args.out) if args.out else None
     if args.out is None and args.command == "sweep":
@@ -178,7 +190,7 @@ def cmd_diffdist(args) -> int:
 
 def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
     if args.delta_p is None and args.energy is None:
-        # no explicit thresholds: derive them from the first grid percentages
+        # no explicit thresholds: derive them from the one pair of percentages
         th = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0], args.spec)
         return Thresholds(th.power_delta_w, th.energy_wh, args.max_silence)
     return Thresholds(math.inf if args.delta_p is None else args.delta_p,
@@ -187,12 +199,9 @@ def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
 
 def cmd_sample(args) -> int:
     for trace_id, trace in _load_traces(args):
-        segments = segment_trace(trace, args.max_gap)
-        if args.strategy == "time":
-            streams = [sample_time_based(seg, args.delta_t) for seg in segments]
-        else:
-            th = _sample_thresholds(args, trace)
-            streams = [sample_event_based(seg, th) for seg in segments]
+        sample, param = ((sample_time_based, args.delta_t) if args.strategy == "time"
+                         else (sample_event_based, _sample_thresholds(args, trace)))
+        streams = [sample(seg, param) for seg in segment_trace(trace, args.max_gap)]
         lines = ["timestamp,trigger,energy_wh,power_w"]
         for s in streams:
             columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
@@ -266,6 +275,8 @@ COMMANDS = {
     "sweep": (cmd_sweep, "evaluate full parameter grids"),
 }
 METERING_COMMANDS = ("sample", "sweep")  # they alone segment a trace and derive thresholds
+FORMAT_FLAGS = {"redd": {"mains": "sum"},  # the flags one --format alone reads, with their defaults
+                "csv": {"timestamp_col": "timestamp", "power_col": "power", "delimiter": ","}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,11 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", action="append", required=True, metavar="PATH",
                         help="trace file, or house directory for --format redd (repeatable)")
     common.add_argument("--format", choices=("redd", "csv"), default="redd")
-    common.add_argument("--mains", choices=tuple(MAINS_MODES), default="sum",
+    common.add_argument("--mains", choices=tuple(MAINS_MODES),
                         help="how to combine a house directory's two mains channels")
-    common.add_argument("--timestamp-col", default="timestamp")
-    common.add_argument("--power-col", default="power")
-    common.add_argument("--delimiter", default=",")
+    for flag in ("--timestamp-col", "--power-col", "--delimiter"):  # read by --format csv alone
+        common.add_argument(flag)
     common.add_argument("--tolerant", action="store_true",
                         help="skip unparseable lines instead of failing")
     common.add_argument("--out", default=None, metavar="DIR")

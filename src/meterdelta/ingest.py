@@ -129,15 +129,6 @@ def _parse_channel_line(line_no: int, tokens: list[str]) -> tuple[int, float]:
     return timestamp, power
 
 
-def dump_redd_channel(samples: np.ndarray | Iterable[tuple[int, float]], target) -> None:
-    """Write samples in the channel line format (round-trips exactly)."""
-    text = "".join(f"{int(t)} {float(p)!r}\n" for t, p in samples)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8", newline="")
-    else:
-        target.write(text)
-
-
 def load_csv(
     source,
     timestamp_col: str = "timestamp",

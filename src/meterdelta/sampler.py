@@ -51,10 +51,6 @@ class ReadingStream:
         _set_columns(self, timestamps=np.int64, triggers=np.uint8, energy_ws=np.float64,
                      power_w=np.float64)
 
-    @property
-    def total_energy_ws(self) -> float:
-        return float(self.energy_ws.sum())
-
 
 def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     """Periodic metering: one reading at the end of every delta_t window.

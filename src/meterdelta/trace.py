@@ -201,7 +201,10 @@ def validate_trace(raw: np.ndarray | Iterable[tuple[float, float]]) -> PowerTrac
         raise EmptyInputError("no samples")
     _check_powers(samples)
     rows, ts, pw = _last_value_wins(samples), samples["timestamp"], samples["power"]
-    return PowerTrace(ts, pw) if rows is None else PowerTrace(ts[rows], pw[rows])
+    if rows is not None:  # fresh gathers, frozen so that PowerTrace keeps them uncopied
+        ts, pw = ts[rows], pw[rows]
+        ts.flags.writeable = pw.flags.writeable = False
+    return PowerTrace(ts, pw)
 
 
 def _steps(timestamps: np.ndarray) -> np.ndarray:

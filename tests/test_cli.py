@@ -295,6 +295,45 @@ def test_sample_rejects_the_threshold_rule_flags_where_it_derives_no_thresholds(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [["--p-percent", "5,50"], ["--e-percent", "1,2"],
+                                   ["--p-percent", "5,50", "--e-percent", "1,2"]])
+def test_sample_reads_one_percentage_pair(trace_a_file, tmp_path, capsys, flags):
+    # the input does not exist: the lists are refused before any input is read
+    missing = str(tmp_path / "missing.dat")
+    assert main(["sample", "--input", missing, "--strategy", "event", *flags]) == 2
+    assert capsys.readouterr() == ("", "error: sample reads one --p-percent and one --e-percent value\n")
+    outputs = []
+    for rule in (["--p-percent", "5"], ["--p-percent", "5", "--e-percent", "1", "--power-base",
+                                         "variation", "--rounding", "ceil"]):
+        assert main(["sample", "--input", str(trace_a_file), "--strategy", "event", *rule]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]  # a flag not given takes the first value of the sweep's default
+
+
+@pytest.mark.parametrize("fmt, flags, message", [
+    ("redd", ["--delimiter", ";"], "--format redd does not read --delimiter"),
+    ("redd", ["--timestamp-col", "x"], "--format redd does not read --timestamp-col"),
+    ("redd", ["--delimiter", ",", "--power-col", "power"],
+     "--format redd does not read --power-col, --delimiter"),
+    ("csv", ["--mains", "second"], "--format csv does not read --mains"),
+    ("redd", ["--mains", "sum"], "--format redd on channel files does not read --mains"),
+])
+def test_each_format_rejects_the_flags_it_does_not_read(tmp_path, capsys, fmt, flags, message):
+    # given with their default values too; the input does not exist, so the
+    # flags are checked before any input is read
+    missing = str(tmp_path / "missing.dat")
+    for command in (["stats"], ["diffdist"], ["sample", "--strategy", "event"],
+                    ["sweep", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--input", missing, "--format", fmt, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_mains_needs_a_house_directory_among_the_inputs(trace_a_file, house_dir, capsys):
+    assert main(["stats", "--input", str(trace_a_file), "--input", str(house_dir),
+                 "--mains", "first"]) == 0
+    assert "100.00" in capsys.readouterr().out.splitlines()[2]  # house_9 under --mains first
+
+
 def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
     huge = "99999999999999999999"
     code = main(

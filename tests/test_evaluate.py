@@ -172,7 +172,7 @@ def test_reconstruction_conserves_energy():
         ):
             recon = reconstruct(stream, seg)
             assert float(recon.powers.sum()) == pytest.approx(
-                stream.total_energy_ws, rel=1e-9
+                stream.energy_ws.sum(), rel=1e-9
             )
 
 

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from meterdelta import combine_mains, dump_redd_channel, load_csv, load_redd_channel, load_redd_house
+from meterdelta import combine_mains, load_csv, load_redd_channel, load_redd_house
 from meterdelta.errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
 from meterdelta.trace import SAMPLE_DTYPE, _sample_array
 from oracles import sorted_leg_sum
+
+
+def channel_text(samples) -> str:
+    """samples in the channel line format, which reads back exactly."""
+    return "".join(f"{int(t)} {float(p)!r}\n" for t, p in samples)
 
 
 def test_redd_basic(tmp_path):
@@ -81,9 +86,7 @@ def test_redd_tolerant_equals_strict_on_good_lines_only():
     )
 )
 def test_redd_round_trip(samples):
-    buf = io.StringIO()
-    dump_redd_channel(samples, buf)
-    assert load_redd_channel(io.StringIO(buf.getvalue())).tolist() == [
+    assert load_redd_channel(io.StringIO(channel_text(samples))).tolist() == [
         (int(t), float(p)) for t, p in samples
     ]
 
@@ -91,7 +94,7 @@ def test_redd_round_trip(samples):
 def test_redd_round_trip_to_file(tmp_path):
     f = tmp_path / "out.dat"
     samples = [(0, 100.0), (1, 222.02)]
-    dump_redd_channel(samples, f)
+    f.write_text(channel_text(samples), encoding="utf-8")
     assert load_redd_channel(f).tolist() == samples
 
 
@@ -100,10 +103,8 @@ def test_redd_array_round_trip(tmp_path):
     f = tmp_path / "channel_1.dat"
     f.write_text(text)
     samples = load_redd_channel(f)
-    buf = io.StringIO()
-    dump_redd_channel(samples, buf)
-    assert buf.getvalue() == text
-    again = load_redd_channel(io.StringIO(buf.getvalue()))
+    assert channel_text(samples) == text
+    again = load_redd_channel(io.StringIO(channel_text(samples)))
     assert again.dtype == samples.dtype
     assert again.tobytes() == samples.tobytes()
 

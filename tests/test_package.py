@@ -1,4 +1,5 @@
 import argparse
+import ast
 import re
 import types
 from pathlib import Path
@@ -16,6 +17,21 @@ def test_all_lists_exactly_the_public_names():
     namespace = {}
     exec("from meterdelta import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(meterdelta.__all__)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only tests call belongs in tests/, not in the package's surface
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "meterdelta").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(meterdelta.__all__) - used) == []
 
 
 def test_readme_cli_flags_match_the_parser():

@@ -144,7 +144,7 @@ def test_event_trace_a_power_triggers(segment_a):
         (10, "final", 500.0, 100.0),
     ]
     assert message_count(stream) == 3
-    assert stream.total_energy_ws == 1800.0
+    assert stream.energy_ws.sum() == 1800.0
 
 
 def test_event_energy_triggers(constant_segment):
@@ -249,11 +249,11 @@ def test_energy_conservation_over_strategies():
         total = seg.total_energy_ws
         for dt in (1, 7, 60, 500):
             stream = sample_time_based(seg, dt)
-            assert stream.total_energy_ws == pytest.approx(total, rel=1e-9)
+            assert stream.energy_ws.sum() == pytest.approx(total, rel=1e-9)
         for _ in range(5):
             dp, e_wh, silence = random_thresholds(rng)
             stream = sample_event_based(seg, Thresholds(dp, e_wh, silence))
-            assert stream.total_energy_ws == pytest.approx(total, rel=1e-9)
+            assert stream.energy_ws.sum() == pytest.approx(total, rel=1e-9)
 
 
 def test_message_count_bounds():
@@ -288,5 +288,5 @@ def test_single_sample_segment_flushes_its_energy():
     for stream in (sample_time_based(seg, 5), sample_event_based(seg, Thresholds(1.0, 1.0))):
         assert [TRIGGERS[c] for c in stream.triggers.tolist()] == ["initial", "final"]
         assert stream.timestamps[-1] == 6
-        assert stream.total_energy_ws == 100.0
+        assert stream.energy_ws.sum() == 100.0
         assert message_count(stream) == 1

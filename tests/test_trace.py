@@ -217,17 +217,23 @@ def test_power_trace_copies_only_the_columns_a_caller_can_still_write():
 
 
 def test_validate_trace_allocates_each_column_once():
-    raw = _sample_array(np.arange(100_000), np.ones(100_000))
-    validate_trace(raw)  # warm-up: nothing first-call-only is counted below
-    tracemalloc.start()
-    try:
-        validate_trace(raw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one contiguous copy of each column: 1 x raw; a sorted copy of the samples
-    # besides, or copying the columns a second time, would peak at 1.5 x raw or more
-    assert peak < 1.25 * raw.nbytes
+    n = 100_000
+    # sorted: one contiguous copy of each column, 1 x raw; a sorted copy of the samples
+    # besides, or copying the columns a second time, would peak at 1.5 x raw or more.
+    # reversed: the sort order (0.5 x raw) and one gather of each column (1 x raw);
+    # copying the gathers again peaks at 2.5 x raw. Half the rows repeated: the order,
+    # then gathers of half the rows (0.5 x raw); copying them again peaks at 1.5 x raw
+    for timestamps, bound in ((np.arange(n), 1.25), (np.arange(n)[::-1], 1.75),
+                              (np.arange(n)[::-1] // 2, 1.25)):
+        raw = _sample_array(timestamps, np.ones(n))
+        validate_trace(raw)  # warm-up: nothing first-call-only is counted below
+        tracemalloc.start()
+        try:
+            validate_trace(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * raw.nbytes, (timestamps[:2], peak / raw.nbytes)
 
 
 def test_stats_trace_a(trace_a):
