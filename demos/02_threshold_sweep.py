@@ -36,7 +36,6 @@ def main():
         DEFAULT_PERCENT_GRID,
         ThresholdSpec(),
         max_gap=3600,
-        trace_id="random_walk",
     )
 
     print("Periodic strategies")

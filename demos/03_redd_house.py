@@ -72,9 +72,7 @@ def main():
     print()
 
     print("Headline comparison (10% power, 1% energy):")
-    result = run_sweep(
-        trace, [60, 300], [10], [1], ThresholdSpec(), max_gap=3600, trace_id=f"house_{house}"
-    )
+    result = run_sweep(trace, [60, 300], [10], [1], ThresholdSpec(), max_gap=3600)
     event = result.event_based[0]
     by_dt = {r.dt: r for r in result.time_based}
     print(f"  event point     NMAE {event.nmae:.4f}  messages {event.message_count}")

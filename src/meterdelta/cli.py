@@ -7,15 +7,15 @@ flags --max-gap, --p-percent, --e-percent, --power-base and --rounding):
   sample    run one metering strategy and emit its readings CSV
   sweep     evaluate full parameter grids, writing both a JSON and a CSV report
 
-Numeric output uses fixed decimal formats (watts and watt-hours 2 places,
-error fractions 6, curve fractions 9) so reruns are byte-identical and
-outputs diff cleanly. Files under --out are replaced atomically. Exit codes:
-0 success; 1 input or parse error (any MeterDeltaError or OSError, such as
-input that is not UTF-8 text, a trace whose energy overflows float64, or
-non-finite sweep results, before either report is written); 2 settings error
-(any other ValueError, such as a flag that the --format or the sample
-strategy does not read, more than one percentage given to sample, a NaN
-percentage, inf in both grids, or two inputs with one trace id).
+Numeric output uses fixed formats, set per column by STATS_COLUMNS and
+SWEEP_COLUMNS, so reruns are byte-identical. Files under --out are replaced
+atomically. Exit codes: 0 success; 1 input or parse error (any
+MeterDeltaError or OSError, such as input that is not UTF-8 text, a trace
+whose energy overflows float64, or non-finite sweep results, before either
+report is written); 2 settings error (any other ValueError, such as a flag
+that the --format or the sample strategy does not read, more than one
+percentage, a threshold not positive or a --max-silence below 1 for sample,
+a NaN percentage, inf in both grids, or two inputs with one trace id).
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import MeterDeltaError
@@ -39,23 +40,41 @@ from .trace import (SECONDS_PER_HOUR, PowerTrace, TraceStats, first_difference_d
                     segment_trace, trace_stats, validate_trace)
 
 
-# TraceStats field, stdout heading, stdout width, decimals (None: an integer);
-# drives the stdout table, stats.csv and the "stats" block of the sweep JSON
+# TraceStats field, stdout heading, stdout width, format ("d": an integer, ".Nf": N decimals,
+# which the JSON rounds to); drives the stdout table, stats.csv and the sweep JSON's "stats"
 STATS_COLUMNS = (
-    ("peak_power_w", "peak_w", 12, 2),
-    ("peak_variation_w", "peak_var_w", 13, 2),
-    ("total_energy_wh", "energy_wh", 15, 2),
-    ("mean_daily_energy_wh", "daily_wh", 13, 2),
-    ("coverage", "coverage", 10, 6),
-    ("duration_s", "duration_s", 12, None),
-    ("gap_count", "gaps", 7, None),
+    ("peak_power_w", "peak_w", 12, ".2f"),
+    ("peak_variation_w", "peak_var_w", 13, ".2f"),
+    ("total_energy_wh", "energy_wh", 15, ".2f"),
+    ("mean_daily_energy_wh", "daily_wh", 13, ".2f"),
+    ("coverage", "coverage", 10, ".6f"),
+    ("duration_s", "duration_s", 12, "d"),
+    ("gap_count", "gaps", 7, "d"),
+)
+# sweep report column, the EvalResult attribute it shows, its format (as above, or "g": the
+# shortest form, as is in the JSON) and the strategies whose rows hold it
+SWEEP_COLUMNS = (
+    ("dt", "dt", "d", ("time",)),
+    ("p_percent", "p_percent", "g", ("event",)),
+    ("e_percent", "e_percent", "g", ("event",)),
+    ("delta_p_w", "thresholds.power_delta_w", ".2f", ("event",)),
+    ("energy_wh", "thresholds.energy_wh", ".2f", ("event",)),
+    ("nmae", "nmae", ".6f", ("time", "event")),
+    ("count", "message_count", "d", ("time", "event")),
+    ("compression_vs_10s", "compression_vs_10s", ".6f", ("event",)),
 )
 
 
 def _stat_cells(stats: TraceStats, padded: bool) -> list[str]:
-    specs = ((field, width if padded else "", "d" if dec is None else f".{dec}f")
-             for field, _, width, dec in STATS_COLUMNS)
-    return [format(getattr(stats, field), f">{width}{kind}") for field, width, kind in specs]
+    return [format(getattr(stats, field), f">{width if padded else ''}{kind}")
+            for field, _, width, kind in STATS_COLUMNS]
+
+
+def _json_value(value, kind: str):
+    """value rounded to an ".Nf" kind's N decimals; a float inf, which JSON has no number for, as None."""
+    if kind.endswith("f"):
+        value = round(value, int(kind[1:-1]))
+    return None if isinstance(value, float) and math.isinf(value) else value  # an int of any size as is
 
 
 def _numbers(text: str, kind, flag: str) -> tuple:
@@ -75,8 +94,8 @@ def _refuse(args, mode: str, names) -> None:
 
 
 def _check(args) -> None:
-    """Validate the parsed flags, replacing the list flags by tuples of
-    numbers and, for the metering commands, adding args.spec; raises ValueError."""
+    """Validate the parsed flags, replacing the list flags by tuples of numbers and adding
+    args.spec (metering commands) and args.thresholds (sample); raises ValueError."""
     # first, while a flag not given is still None
     _refuse(args, f"--format {args.format}", FORMAT_FLAGS["redd" if args.format == "csv" else "csv"])
     if args.format == "redd" and not any(map(os.path.isdir, args.input)):
@@ -90,18 +109,23 @@ def _check(args) -> None:
                 () if derived and not time else ("p_percent", "e_percent", "power_base", "rounding"))
         if time and (args.delta_t is None or args.delta_t < 1):
             raise ValueError("time strategy needs --delta-t >= 1")
+        if args.max_silence is not None and args.max_silence < 1:  # derived thresholds take it too
+            raise ValueError("--max-silence must be >= 1")
+        args.thresholds = None if time or derived else Thresholds(  # checked before any input loads
+            math.inf if args.delta_p is None else args.delta_p,
+            math.inf if args.energy is None else args.energy, args.max_silence)
     if args.command in METERING_COMMANDS and args.max_gap < 1:
         raise ValueError("--max-gap must be >= 1")
     if args.format == "csv" and len(args.delimiter) != 1:
         raise ValueError("--delimiter must be a single character")
     if args.command == "sweep":
-        args.dt = _numbers(args.dt, int, "--dt")
+        args.dt = DEFAULT_DT_GRID if args.dt is None else _numbers(args.dt, int, "--dt")
         if min(args.dt) < 1:
             raise ValueError("--dt values must be >= 1")
     if args.command in METERING_COMMANDS:  # a flag not given reads the grid; sample its first value
-        grid = ",".join(f"{v:g}" for v in DEFAULT_PERCENT_GRID[:1 if args.command == "sample" else None])
-        args.p_percent = _numbers(grid if args.p_percent is None else args.p_percent, float, "--p-percent")
-        args.e_percent = _numbers(grid if args.e_percent is None else args.e_percent, float, "--e-percent")
+        grid = DEFAULT_PERCENT_GRID[:1] if args.command == "sample" else DEFAULT_PERCENT_GRID
+        args.p_percent = grid if args.p_percent is None else _numbers(args.p_percent, float, "--p-percent")
+        args.e_percent = grid if args.e_percent is None else _numbers(args.e_percent, float, "--e-percent")
         if not all(v > 0 for v in args.p_percent + args.e_percent):  # NaN fails too
             raise ValueError("percent values must be positive")
         if math.inf in args.p_percent and math.inf in args.e_percent:
@@ -188,19 +212,14 @@ def cmd_diffdist(args) -> int:
     return 0
 
 
-def _sample_thresholds(args, trace: PowerTrace) -> Thresholds:
-    if args.delta_p is None and args.energy is None:
-        # no explicit thresholds: derive them from the one pair of percentages
-        th = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0], args.spec)
-        return Thresholds(th.power_delta_w, th.energy_wh, args.max_silence)
-    return Thresholds(math.inf if args.delta_p is None else args.delta_p,
-                      math.inf if args.energy is None else args.energy, args.max_silence)
-
-
 def cmd_sample(args) -> int:
     for trace_id, trace in _load_traces(args):
-        sample, param = ((sample_time_based, args.delta_t) if args.strategy == "time"
-                         else (sample_event_based, _sample_thresholds(args, trace)))
+        sample, param = sample_event_based, args.thresholds
+        if args.strategy == "time":
+            sample, param = sample_time_based, args.delta_t
+        elif param is None:  # no threshold given: derive both from this trace, like one sweep cell
+            th = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0], args.spec)
+            param = Thresholds(th.power_delta_w, th.energy_wh, args.max_silence)
         streams = [sample(seg, param) for seg in segment_trace(trace, args.max_gap)]
         lines = ["timestamp,trigger,energy_wh,power_w"]
         for s in streams:
@@ -211,59 +230,33 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _or_null(value: float) -> float | None:
-    """value, or None (JSON null) for inf, which JSON has no number for."""
-    return None if math.isinf(value) else value
+def _sweep_rows(result: SweepResult) -> list[tuple[str, dict]]:
+    """(strategy, {column: (value, format)} of the columns it holds) per row, time rows first."""
+    return [(s, {name: (attrgetter(attr)(r), kind) for name, attr, kind, held in SWEEP_COLUMNS if s in held})
+            for s in ("time", "event") for r in getattr(result, f"{s}_based")]
 
 
-def _sweep_payload(result: SweepResult) -> dict:
-    s = result.stats
-    return {
-        "trace_id": result.trace_id,
-        "stats": {
-            field: getattr(s, field) if dec is None else round(getattr(s, field), dec)
-            for field, _, _, dec in STATS_COLUMNS
-        },
-        "time_based": [
-            {"dt": r.dt, "nmae": round(r.nmae, 6), "count": r.message_count}
-            for r in result.time_based
-        ],
-        "event_based": [
-            {
-                "p_percent": _or_null(r.p_percent),
-                "e_percent": _or_null(r.e_percent),
-                "delta_p_w": _or_null(round(r.thresholds.power_delta_w, 2)),
-                "energy_wh": _or_null(round(r.thresholds.energy_wh, 2)),
-                "nmae": round(r.nmae, 6),
-                "count": r.message_count,
-                "compression_vs_10s": round(r.compression_vs_10s, 6),
-            }
-            for r in result.event_based
-        ],
-    }
+def _sweep_json(trace_id: str, result: SweepResult) -> str:
+    stats = {field: _json_value(getattr(result.stats, field), kind) for field, _, _, kind in STATS_COLUMNS}
+    payload = {"trace_id": trace_id, "stats": stats, "time_based": [], "event_based": []}
+    for strategy, cells in _sweep_rows(result):
+        payload[f"{strategy}_based"].append({name: _json_value(*cell) for name, cell in cells.items()})
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _sweep_csv(result: SweepResult) -> str:
-    header = ["strategy", "dt", "p_percent", "e_percent", "delta_p_w", "energy_wh", "nmae",
-              "count", "compression_vs_10s"]
-    rows = [["time", r.dt, "", "", "", "", f"{r.nmae:.6f}", r.message_count, ""]
-            for r in result.time_based]
-    rows += [["event", "", f"{r.p_percent:g}", f"{r.e_percent:g}",
-              f"{r.thresholds.power_delta_w:.2f}", f"{r.thresholds.energy_wh:.2f}",
-              f"{r.nmae:.6f}", r.message_count, f"{r.compression_vs_10s:.6f}"]
-             for r in result.event_based]
-    return _csv_text(header, rows)
+    rows = [[strategy, *(format(*cells[name]) if name in cells else "" for name, *_ in SWEEP_COLUMNS)]
+            for strategy, cells in _sweep_rows(result)]
+    return _csv_text(["strategy", *(c[0] for c in SWEEP_COLUMNS)], rows)
 
 
 def cmd_sweep(args) -> int:
     for trace_id, trace in _load_traces(args):
-        result = run_sweep(trace, args.dt, args.p_percent, args.e_percent, args.spec,
-                           max_gap=args.max_gap, trace_id=trace_id)
+        result = run_sweep(trace, args.dt, args.p_percent, args.e_percent, args.spec, max_gap=args.max_gap)
         # nmae alone can overflow here, from an error sum past float64
         if not all(math.isfinite(r.nmae) for r in result.time_based + result.event_based):
             raise MeterDeltaError(f"{trace_id}: sweep results are not finite")
-        text = json.dumps(_sweep_payload(result), indent=2, allow_nan=False) + "\n"
-        _emit(text, args.out, f"{trace_id}_sweep.json")
+        _emit(_sweep_json(trace_id, result), args.out, f"{trace_id}_sweep.json")
         _emit(_sweep_csv(result), args.out, f"{trace_id}_sweep.csv")
     return 0
 
@@ -315,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs["sample"].add_argument("--energy", type=float, default=None, metavar="WH")
     subs["sample"].add_argument("--max-silence", type=int, default=None, metavar="S")
 
-    subs["sweep"].add_argument("--dt", default=",".join(str(v) for v in DEFAULT_DT_GRID),
-                               metavar="LIST")
+    subs["sweep"].add_argument("--dt", metavar="LIST")
 
     return parser
 

@@ -46,7 +46,6 @@ class EvalResult:
 class SweepResult:
     """Every grid point evaluated for one trace."""
 
-    trace_id: str
     stats: TraceStats
     time_based: tuple[EvalResult, ...]
     event_based: tuple[EvalResult, ...]
@@ -120,7 +119,6 @@ def run_sweep(
     spec: ThresholdSpec,
     *,
     max_gap: int,
-    trace_id: str = "trace",
 ) -> SweepResult:
     """Evaluate every periodic and event grid point for one validated trace.
 
@@ -146,4 +144,4 @@ def run_sweep(
     time_rows = [row(sample_time_based, dt, dt=int(dt)) for dt in dt_values]
     event_rows = [row(sample_event_based, th, p_percent=float(p), e_percent=float(e), thresholds=th)
                   for p, e, th in threshold_grid(stats, p_list, e_list, spec)]
-    return SweepResult(trace_id, stats, tuple(time_rows), tuple(event_rows))
+    return SweepResult(stats, tuple(time_rows), tuple(event_rows))

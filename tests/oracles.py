@@ -11,13 +11,16 @@ indexed_held_powers is reconstruct's former index route, with the same
 bit-equality demand on held powers. sorted_leg_sum is combine_mains'
 former route, which sorted each second's leg powers before summing, and
 unique_last_value_wins its former deduplication through np.unique.
+reference_sweep chains these oracles into a whole sweep of a house directory.
 
 bench/gen.py loads this file by path, without the package on sys.path, so
 every meterdelta import stays inside the function that needs it.
 """
 from __future__ import annotations
 
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -213,3 +216,67 @@ def stream_tuples(stream):
             stream.power_w.tolist(),
         )
     )
+
+
+def closed_form_time_readings(segment, delta_t):
+    """Periodic readings of one segment from the window arithmetic alone: the
+    window k covers [start + k * delta_t, start + (k + 1) * delta_t), cut at the
+    segment end, and its energy is the plain sum of the powers in it.
+    Returns a ReadingStream."""
+    from meterdelta.sampler import FINAL, INITIAL, WINDOW, ReadingStream
+
+    start, end = segment.start, segment.end
+    windows = -(-(end - start) // delta_t)
+    energies = [0.0] * (windows + 1)
+    for t, p in zip(segment.timestamps.tolist(), segment.powers.tolist()):
+        energies[(t - start) // delta_t + 1] += p
+    stamps = [start, *(min(start + k * delta_t, end) for k in range(1, windows + 1))]
+    triggers = [INITIAL] + [WINDOW] * windows
+    if (end - start) % delta_t:
+        triggers[-1] = FINAL
+    held = segment.powers[np.searchsorted(segment.timestamps, stamps, side="right") - 1]
+    return ReadingStream(stamps, triggers, energies, held)
+
+
+def reference_sweep(house_dir, dt_list, p_list, e_list, spec, max_gap):
+    """What `meterdelta sweep` must report for a two-leg house directory,
+    built from the oracles above: each leg parsed by the line parser from a
+    text stream, deduplicated by unique_last_value_wins and summed by
+    sorted_leg_sum; the trace cut where a step exceeds max_gap; periodic rows
+    from closed_form_time_readings and event rows from python_event_readings,
+    each scored by reconstruct and error_components pooled over the segments.
+    Statistics and thresholds come from the library's trace_stats and
+    threshold_grid, which have no oracle.
+    Returns a SweepResult; raises as the library does on a degenerate trace."""
+    from meterdelta import (EvalResult, PowerTrace, SweepResult, error_components,
+                            load_redd_channel, reconstruct, threshold_grid, trace_stats)
+
+    legs = []
+    for n in (1, 2):
+        text = (Path(house_dir) / f"channel_{n}.dat").read_bytes().decode("utf-8")
+        samples = unique_last_value_wins(load_redd_channel(io.StringIO(text, newline="")))
+        legs.append(zip(samples["timestamp"].tolist(), samples["power"].tolist()))
+    stamps, powers = sorted_leg_sum(legs)
+    trace = PowerTrace(stamps, powers)
+    cuts = [i for i in range(1, len(stamps)) if stamps[i] - stamps[i - 1] > max_gap]
+    bounds = [0, *cuts, len(stamps)]
+    segments = [PowerTrace(stamps[a:b], powers[a:b]) for a, b in zip(bounds, bounds[1:])]
+    stats = trace_stats(trace)
+    grid = threshold_grid(stats, p_list, e_list, spec)  # first: a trace without energy fails here
+    reference_count = sum(-(-seg.duration // 10) for seg in segments)  # the 10 s meter's messages
+
+    def row(sample, **point):
+        numerator = denominator = 0.0
+        count = 0
+        for seg in segments:
+            stream = sample(seg)
+            part, whole = error_components(seg, reconstruct(stream, seg))
+            numerator, denominator = numerator + part, denominator + whole
+            count += len(stream.timestamps) - 1
+        return EvalResult(numerator / denominator, count, reference_count / count, **point)
+
+    time_rows = [row(lambda seg: closed_form_time_readings(seg, dt), dt=dt)
+                 for dt in dict.fromkeys(dt_list)]
+    event_rows = [row(lambda seg: python_event_readings(seg, th), p_percent=p, e_percent=e,
+                      thresholds=th) for p, e, th in grid]
+    return SweepResult(stats, tuple(time_rows), tuple(event_rows))

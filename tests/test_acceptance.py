@@ -286,8 +286,7 @@ def test_criterion_9_compression_band():
 
 @needs_dataset
 def test_criterion_10_house_1_headline_point():
-    result = run_sweep(_house_trace(1), [60, 300], [10], [1], ThresholdSpec(),
-                       max_gap=REDD_MAX_GAP, trace_id="house_1")
+    result = run_sweep(_house_trace(1), [60, 300], [10], [1], ThresholdSpec(), max_gap=REDD_MAX_GAP)
     by_dt = {r.dt: r for r in result.time_based}
     event = result.event_based[0]
     assert event.nmae <= 1.1 * by_dt[60].nmae, (

@@ -345,15 +345,25 @@ def test_huge_periods_exit_0(trace_a_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--dt", huge]) == 0
     assert json.loads((out_dir / "trace_a_sweep.json").read_text())["time_based"][0]["count"] == 1
+    # past any float: both reports hold the integer exactly (only a float inf becomes null)
+    huger = "1" + "0" * 400
+    assert main(["sweep", "--input", str(trace_a_file), "--out", str(out_dir), "--dt", huger]) == 0
+    assert json.loads((out_dir / "trace_a_sweep.json").read_text())["time_based"] == [
+        {"dt": 10**400, "nmae": 0.711111, "count": 1}]
+    assert (out_dir / "trace_a_sweep.csv").read_text().splitlines()[1] == f"time,{huger},,,,,0.711111,1,"
 
 
-def test_sample_event_bad_thresholds_exit_2(trace_a_file, capsys):
+def test_sample_event_bad_thresholds_exit_2(trace_a_file, tmp_path, capsys):
+    # checked before any input is read: a missing input exits 2 too, not 1 with its file error
+    missing = str(tmp_path / "missing.dat")
     for bad in (["--delta-p", "0"], ["--energy", "-1"], ["--delta-p", "100", "--max-silence", "0"],
-                ["--delta-p", "inf"]):
-        assert main(["sample", "--input", str(trace_a_file), "--strategy", "event", *bad]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                ["--delta-p", "inf"], ["--delta-p", "-1"], ["--delta-p", "nan"], ["--energy", "0"],
+                ["--max-silence", "0"]):  # the last with derived thresholds
+        for path in (str(trace_a_file), missing):
+            assert main(["sample", "--input", path, "--strategy", "event", *bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_sample_silence_only(trace_a_file, capsys):

@@ -1,0 +1,61 @@
+"""`meterdelta sweep` on whole house directories against tests/oracles.py::reference_sweep."""
+import itertools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meterdelta import ThresholdSpec
+from meterdelta.cli import _sweep_csv, _sweep_json, main
+from meterdelta.errors import DegenerateStatsError
+
+from oracles import reference_sweep
+
+CENTS = st.integers(0, 400_000)  # 2-decimal watts, as in channel files: inexact in binary
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n", "\n \n"])  # some with a blank line
+
+
+@st.composite
+def houses(draw):
+    """(max_gap, the texts of channel_1.dat and channel_2.dat) of one house."""
+    max_gap = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.just(1) | st.integers(1, 3 * max_gap), max_size=60))
+    # the int64 edges too: the last start puts the last sample at 2**63 - 2
+    start = draw(st.sampled_from([0, 1_303_132_929, -(2**63), 2**63 - 3 - sum(steps)]))
+    # the first two seconds are adjacent and in both legs, so the trace has a one-second change
+    stamps = list(itertools.accumulate([1, *steps], initial=start))
+    texts = []
+    for _ in range(2):
+        lines = [(t, draw(CENTS)) for t in stamps[:2]]
+        lines += [(t, draw(CENTS)) for t in stamps[2:] if draw(st.integers(0, 9))]  # misses 1 in 10
+        lines += [(t, draw(CENTS)) for t, _ in draw(st.lists(st.sampled_from(lines), max_size=3))]
+        if draw(st.booleans()):  # out of timestamp order
+            lines = draw(st.permutations(lines))
+        texts.append("".join(f"{t} {c // 100}.{c % 100:02d}{draw(LINE_ENDS)}" for t, c in lines))
+    return max_gap, texts
+
+
+@settings(max_examples=30, deadline=None)
+@given(houses(), st.lists(st.integers(1, 120), min_size=1, max_size=3),
+       st.lists(st.sampled_from([1.0, 5.0, 20.0, 100.0, math.inf]), min_size=1, max_size=2),
+       st.lists(st.sampled_from([0.5, 2.0, 50.0]), min_size=1, max_size=2),
+       st.sampled_from(["variation", "peak"]), st.sampled_from(["ceil", "none"]))
+def test_sweep_reports_match_the_reference_sweep(tmp_path_factory, house, dts, ps, es, base, rounding):
+    max_gap, texts = house
+    root = tmp_path_factory.mktemp("sweep")
+    house_dir = root / "house"
+    house_dir.mkdir()
+    for n, text in enumerate(texts, 1):
+        (house_dir / f"channel_{n}.dat").write_text(text, encoding="utf-8", newline="")
+    out = root / "out"
+    argv = ["sweep", "--input", str(house_dir), "--out", str(out), "--max-gap", str(max_gap),
+            "--dt", ",".join(map(str, dts)), "--p-percent", ",".join(map(repr, ps)),
+            "--e-percent", ",".join(map(repr, es)), "--power-base", base, "--rounding", rounding]
+    try:
+        expected = reference_sweep(house_dir, dts, ps, es, ThresholdSpec(base, rounding), max_gap)
+    except DegenerateStatsError:  # a flat trace, or one with no energy: no threshold to derive
+        assert main(argv) == 1
+        return
+    assert main(argv) == 0
+    assert (out / "house_sweep.json").read_bytes() == _sweep_json("house", expected).encode()
+    assert (out / "house_sweep.csv").read_bytes() == _sweep_csv(expected).encode()
