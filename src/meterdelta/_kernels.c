@@ -41,16 +41,75 @@ int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
     return count;
 }
 
-/* Absolute errors of one segment against a stream's held powers; see
- * evaluate._pooled_score. Reading interval k holds power[k] over samples
- * bounds[k] .. bounds[k + 1] - 1; writes |pw[j] - power[k]| to out[j].
+/* A segment's samples walked against a stream's reading intervals: interval k
+ * holds power[k] from stamps[k] to stamps[k + 1].
  */
-void held_errors(const double *pw, const int64_t *bounds, const double *power, int64_t m,
-                 double *out)
+typedef struct {
+    const int64_t *ts, *stamps;
+    const double *pw, *power;
+    int64_t k;
+} held_walk;
+
+/* Writes |pw[j + i] - power[k]| to e[i] for the n samples from j on, each against
+ * the interval k that holds it; j must not fall from one call to the next.
+ */
+static void held_errors(held_walk *w, int64_t j, int64_t n, double *e)
 {
-    for (int64_t k = 0; k < m; k++)
-        for (int64_t j = bounds[k]; j < bounds[k + 1]; j++)
-            out[j] = fabs(pw[j] - power[k]);
+    const int64_t *ts = w->ts + j;
+    const double *pw = w->pw + j;
+    for (int64_t i = 0; i < n;) {
+        while (w->stamps[w->k + 1] <= ts[i])
+            w->k++;
+        int64_t end = w->stamps[w->k + 1];
+        double power = w->power[w->k];
+        /* whole groups of 8 first: a loop of fixed length, which cc vectorizes at -O2 */
+        for (; i + 8 <= n && ts[i + 7] < end; i += 8)
+            for (int u = 0; u < 8; u++)
+                e[i + u] = fabs(pw[i + u] - power);
+        for (; i < n && ts[i] < end; i++)
+            e[i] = fabs(pw[i] - power);
+    }
+}
+
+/* The errors of samples j .. j + n - 1 summed in numpy's pairwise_sum order:
+ * leaves of at most 128 samples on 8 accumulators, split at half the length
+ * rounded down to a multiple of 8.
+ */
+static double pairwise_error_sum(held_walk *w, int64_t j, int64_t n)
+{
+    if (n > 128) {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return pairwise_error_sum(w, j, half) + pairwise_error_sum(w, j + half, n - half);
+    }
+    double e[128], sum = 0.0;
+    int64_t i = 0;
+    held_errors(w, j, n, e);
+    if (n >= 8) {
+        double r[8];
+        for (int u = 0; u < 8; u++)
+            r[u] = e[u];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int u = 0; u < 8; u++)
+                r[u] += e[i + u];
+        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        sum += e[i];
+    return sum;
+}
+
+/* Sum of the absolute errors of one segment (n samples at ts, powers pw)
+ * against a stream's held powers; see evaluate._pooled_score. The readings at
+ * stamps tile the segment: stamps[0] == ts[0], the last is ts[n - 1] + 1, and
+ * power[k] holds from stamps[k] to stamps[k + 1]. Bit-equal to np.sum of the
+ * errors, which adds numpy's pairwise sum to a 0.0.
+ */
+double held_error_sum(const int64_t *ts, const double *pw, int64_t n, const int64_t *stamps,
+                      const double *power)
+{
+    held_walk w = {ts, stamps, pw, power, 0};
+    return 0.0 + pairwise_error_sum(&w, 0, n);
 }
 
 /* One row of a trace: the layout of trace.SAMPLE_DTYPE. */

@@ -1,6 +1,7 @@
 """The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler), the
-held-error pass (evaluate), the channel-file scan and the leg merge, which reads a
-leg through row indices or, for None, in file order (ingest), and last-value-wins (trace).
+held-error sum in np.sum's pairwise order (evaluate), the channel-file scan and the leg
+merge, which reads a leg through row indices or, for None, in file order (ingest), and
+last-value-wins (trace). ctypes drops the GIL for each call, so another thread runs on.
 
 All five come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
@@ -62,8 +63,8 @@ def library() -> ctypes.CDLL:
     kernels.event_scan.restype = ctypes.c_int64
     kernels.scan_channel.argtypes = [ctypes.c_char_p, ctypes.c_int64, rows, ctypes.c_int64]
     kernels.scan_channel.restype = ctypes.c_int64
-    kernels.held_errors.argtypes = [f64, i64, f64, ctypes.c_int64, f64]
-    kernels.held_errors.restype = None
+    kernels.held_error_sum.argtypes = [i64, f64, ctypes.c_int64, i64, f64]
+    kernels.held_error_sum.restype = ctypes.c_double
     kernels.merge_legs.argtypes = [rows, order, ctypes.c_int64, rows, order, ctypes.c_int64, rows]
     kernels.merge_legs.restype = ctypes.c_int64
     kernels.last_rows.argtypes = [rows, i64, ctypes.c_int64]

@@ -6,10 +6,14 @@ NMAE is the sum of absolute per-second errors divided by the sum of the
 original powers; it penalizes large deviations less brutally than squared
 metrics, which matters for spiky household signals. A sweep takes a whole
 trace, derives its thresholds once, and scores whole grids of periodic and
-event parameters on its segments in C, bit-equal to reconstruct's numpy route.
+event parameters on its segments. It samples each grid point's row on the
+calling thread and scores the row on one worker thread while the next row is
+sampled: one C pass per segment, which drops the GIL and sums the errors in
+np.sum's pairwise order, bit-equal to reconstruct's numpy route.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +31,9 @@ from .trace import PowerTrace, TraceStats, _steps, segment_trace, trace_stats
 
 DEFAULT_DT_GRID = (10, 30, 60, 300, 600, 900, 1800, 3600, 7200)
 COMPRESSION_REFERENCE_DT = 10
+# rows sampled but not yet scored: enough to keep the scoring thread fed, few
+# enough that their streams add little memory
+_ROWS_AHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -51,12 +58,13 @@ class SweepResult:
     event_based: tuple[EvalResult, ...]
 
 
-def _intervals(stream: ReadingStream, segment: PowerTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Reading-interval bounds and powers: power[k] holds on samples bounds[k]:bounds[k + 1]."""
+def _interval_powers(stream: ReadingStream, segment: PowerTrace) -> np.ndarray:
+    """Each reading interval's power, once the readings are checked to tile
+    the segment: power[k] holds from timestamps[k] to timestamps[k + 1]."""
     ts = stream.timestamps
     if (int(ts[0]), int(ts[-1])) != (segment.start, segment.end) or (ts[1:] <= ts[:-1]).any():
         raise MismatchedSegmentError(f"readings do not tile [{segment.start}, {segment.end})")
-    return np.searchsorted(segment.timestamps, ts), stream.energy_ws[1:] / _steps(ts)
+    return stream.energy_ws[1:] / _steps(ts)
 
 
 def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
@@ -67,7 +75,8 @@ def reconstruct(stream: ReadingStream, segment: PowerTrace) -> PowerTrace:
     shares the segment's timestamps, so it sits on the same present-sample
     grid. The stream must have been produced from the given segment.
     """
-    bounds, power = _intervals(stream, segment)
+    power = _interval_powers(stream, segment)
+    bounds = np.searchsorted(segment.timestamps, stream.timestamps)
     return PowerTrace(segment.timestamps, np.repeat(power, np.diff(bounds)))
 
 
@@ -98,12 +107,11 @@ def compression_ratio(reference_count: int, candidate_count: int) -> float:
 def _pooled_score(segments: Sequence[PowerTrace], streams: Sequence[ReadingStream]) -> tuple[float, int]:
     """NMAE pooled across segments (numerators and denominators summed
     before the division) plus the total message count."""
-    errors = np.empty(max(map(len, segments)))  # reused: each segment's errors fill its prefix
     numerator = 0.0
     for seg, stream in zip(segments, streams):
-        bounds, power = _intervals(stream, seg)
-        library().held_errors(seg.powers, bounds, power, power.size, errors)
-        numerator += float(errors[:len(seg)].sum())
+        power = _interval_powers(stream, seg)
+        numerator += library().held_error_sum(seg.timestamps, seg.powers, len(seg),
+                                              stream.timestamps, power)
     denominator = sum(seg.total_energy_ws for seg in segments)
     count = sum(map(message_count, streams))
     if denominator <= 0:
@@ -125,7 +133,9 @@ def run_sweep(
     Thresholds derive once from the whole trace's statistics. The trace is
     split at gaps longer than max_gap seconds; each grid point is sampled and
     scored per segment and pooled. compression_vs_10s always compares against
-    the 10 s periodic strategy, whether or not 10 appears in dt_list.
+    the 10 s periodic strategy, whether or not 10 appears in dt_list. Rows are
+    sampled on the calling thread, in grid order, and scored on one worker
+    thread; an error leaves as it would from a serial loop over the rows.
     """
     dt_values = list(dict.fromkeys(dt_list))  # sample_time_based rejects a fractional dt
     if not dt_values:
@@ -135,13 +145,35 @@ def run_sweep(
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
-    def row(sample, param, **point) -> EvalResult:
-        """Sample every segment with one grid point's parameter, scored pooled."""
-        pooled_nmae, count = _pooled_score(segments, [sample(s, param) for s in segments])
-        return EvalResult(pooled_nmae, count, compression_ratio(reference_count, count), **point)
+    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it: 4 ms of import
 
-    # samplers are named here, at call time, so wrappers installed on this module apply
-    time_rows = [row(sample_time_based, dt, dt=int(dt)) for dt in dt_values]
-    event_rows = [row(sample_event_based, th, p_percent=float(p), e_percent=float(e), thresholds=th)
-                  for p, e, th in threshold_grid(stats, p_list, e_list, spec)]
-    return SweepResult(stats, tuple(time_rows), tuple(event_rows))
+    points, scores, pending = [], [], deque()
+
+    def collect(ahead: int) -> None:
+        """Read scores in grid order until at most ahead rows wait. A failed
+        row stays at the head, so reading it again raises its error again."""
+        while len(pending) > ahead:
+            scores.append(pending[0].result())
+            pending.popleft()
+
+    with ThreadPoolExecutor(1) as scorer:
+        def row(sample, param, **point) -> None:
+            """Sample every segment with one grid point's parameter here, then
+            score the row pooled on the scorer thread (the kernel drops the GIL)."""
+            streams = [sample(s, param) for s in segments]
+            collect(_ROWS_AHEAD - 1)
+            pending.append(scorer.submit(_pooled_score, segments, streams))
+            points.append(point)
+
+        try:  # every earlier row is scored before an error leaves; the first in grid order wins
+            # samplers are named here, at call time, so wrappers installed on this module
+            # apply; they run on this thread alone
+            for dt in dt_values:
+                row(sample_time_based, dt, dt=int(dt))
+            for p, e, th in threshold_grid(stats, p_list, e_list, spec):
+                row(sample_event_based, th, p_percent=float(p), e_percent=float(e), thresholds=th)
+        finally:
+            collect(0)
+    rows = [EvalResult(pooled_nmae, count, compression_ratio(reference_count, count), **point)
+            for (pooled_nmae, count), point in zip(scores, points)]
+    return SweepResult(stats, tuple(rows[:len(dt_values)]), tuple(rows[len(dt_values):]))

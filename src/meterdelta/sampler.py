@@ -8,7 +8,8 @@ energy.
 
 Energies ride in watt-seconds internally: a 1 Hz integrator's native unit,
 which keeps window sums and reconstruction exact. Divide by
-SECONDS_PER_HOUR at presentation boundaries.
+SECONDS_PER_HOUR at presentation boundaries. Periodic windows take their
+energies from the segment's cumulative sums, computed once per segment.
 
 The send-on-delta scan is a C kernel from ``_kernels``, built with cc (never
 at import) at the first event sampling, sweep scoring, channel-file parse or
@@ -73,9 +74,10 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     bounds = np.searchsorted(ts, stamps)
     # cumulative-sum differences telescope, so the stream conserves energy
     # exactly even when individual windows are empty
-    csum = np.concatenate(([0.0], np.cumsum(pw)))
-    energies = np.concatenate(([0.0], csum[bounds[1:]] - csum[bounds[:-1]]))
-    powers_at = pw[np.searchsorted(ts, stamps, side="right") - 1]
+    energies = np.concatenate(([0.0], np.diff(segment._cumulative_ws[bounds])))
+    # the sample at each stamp, else the one before it; clipped, as only the end
+    # stamp has no sample at or after it
+    powers_at = pw[bounds - (ts.take(bounds, mode="clip") != stamps)]
     triggers = np.where(np.arange(len(stamps)) > full, FINAL, WINDOW)
     triggers[0] = INITIAL
     return ReadingStream(stamps, triggers, energies, powers_at)

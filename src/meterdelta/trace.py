@@ -102,6 +102,14 @@ class PowerTrace:
     def total_energy_ws(self) -> float:
         return float(self.powers.sum())
 
+    @cached_property
+    def _cumulative_ws(self) -> np.ndarray:
+        """Energy before each sample and after the last: entry i sums the
+        first i powers in order, so differences of entries telescope."""
+        cumulative = np.concatenate(([0.0], np.cumsum(self.powers)))
+        cumulative.flags.writeable = False
+        return cumulative
+
     @property
     def total_energy_wh(self) -> float:
         return self.total_energy_ws / SECONDS_PER_HOUR

@@ -1,4 +1,6 @@
 """`meterdelta sweep` on whole house directories against tests/oracles.py::reference_sweep."""
+import contextlib
+import io
 import itertools
 import math
 
@@ -59,3 +61,36 @@ def test_sweep_reports_match_the_reference_sweep(tmp_path_factory, house, dts, p
     assert main(argv) == 0
     assert (out / "house_sweep.json").read_bytes() == _sweep_json("house", expected).encode()
     assert (out / "house_sweep.csv").read_bytes() == _sweep_csv(expected).encode()
+
+
+DAMAGE = {  # a line that each breaks a channel file in its own way
+    "malformed": st.sampled_from(["12 3 4", "12 watts", "twelve 3.00", "12", "12 nan"]),
+    "negative power": CENTS.map(lambda c: f"12 -{c // 100 + 1}.{c % 100:02d}"),
+    "timestamp of 2**63": CENTS.map(lambda c: f"{2**63} {c // 100}.{c % 100:02d}"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(houses(), st.sampled_from(sorted(DAMAGE)), st.integers(0, 1), st.data())
+def test_sweep_on_a_damaged_house_fails_cleanly_and_writes_nothing(tmp_path_factory, house, kind,
+                                                                   leg, data):
+    max_gap, texts = house
+    text = texts[leg]
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]  # line starts, and the end
+    at = data.draw(st.sampled_from(starts))
+    texts[leg] = f"{text[:at]}{data.draw(DAMAGE[kind])}{data.draw(LINE_ENDS)}{text[at:]}"
+    root = tmp_path_factory.mktemp("damaged")
+    house_dir = root / "house"
+    house_dir.mkdir()
+    for n, text in enumerate(texts, 1):
+        (house_dir / f"channel_{n}.dat").write_text(text, encoding="utf-8", newline="")
+    out = root / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["sweep", "--input", str(house_dir), "--out", str(out),
+                     "--max-gap", str(max_gap)])
+    assert code in (1, 2)
+    lines = stderr.getvalue().splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert "Traceback" not in stderr.getvalue()
+    assert not out.exists() or not any(out.iterdir())

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from meterdelta import (
     sample_event_based,
     sample_time_based,
     segment_trace,
+    threshold_grid,
     trace_stats,
     validate_trace,
 )
@@ -32,7 +36,7 @@ from meterdelta.errors import (
 )
 from meterdelta import evaluate
 from meterdelta._kernels import library
-from meterdelta.evaluate import _intervals, _pooled_score
+from meterdelta.evaluate import _interval_powers, _pooled_score
 from meterdelta.sampler import FINAL, INITIAL, SILENCE, WINDOW
 from conftest import trace_samples
 from oracles import (indexed_held_powers, random_gappy_trace, random_step_trace,
@@ -98,14 +102,15 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
 def scoring_cases():
     """(segments, streams) pairs: gappy traces with 2-decimal powers cut into
     many segments, one of them a single sample, under periods from 1 s to
-    longer than any segment and under event thresholds with silence; then
-    single gappy segments whose lengths sit on both sides of np.sum's
-    pairwise blocks (8 accumulators, leaves of at most 128 samples, halves
-    rounded down to a multiple of 8), and one segment spanning the int64
-    range."""
+    longer than any segment and under event thresholds with silence, one of
+    them firing at every sample; then single gappy segments whose lengths sit
+    on both sides of np.sum's pairwise blocks (8 accumulators, leaves of at
+    most 128 samples, halves rounded down to a multiple of 8) and deep in its
+    pairwise tree, and one segment spanning the int64 range."""
     rng = np.random.default_rng(1807)
     thresholds = (Thresholds(300.0, 5.0), Thresholds(math.inf, 2.5, 30),
-                  Thresholds(150.0, math.inf, 7), Thresholds(math.inf, math.inf, 5))
+                  Thresholds(150.0, math.inf, 7), Thresholds(math.inf, math.inf, 5),
+                  Thresholds(math.inf, math.inf, 1))  # every sample fires: one-sample intervals
     for _ in range(6):
         samples = random_gappy_trace(rng, length=600, max_power=500_000, gap_chance=0.03,
                                      max_gap=120)
@@ -116,10 +121,16 @@ def scoring_cases():
             yield segments, [sample_time_based(s, dt) for s in segments]
         for th in thresholds:
             yield segments, [sample_event_based(s, th) for s in segments]
-    for n in (7, 8, 9, 127, 128, 129, 135, 136, 137, 255, 256, 257, 263, 264, 1023, 1024,
-              1025, 8191, 8192, 8193):
-        samples = random_gappy_trace(rng, length=n, max_power=500_000, gap_chance=0.05)
-        seg = one_segment([(t, p / 100) for t, p in samples])
+    long_segments = (  # built in numpy: gaps of 1 to 9 s at random, 2-decimal powers
+        PowerTrace(np.cumsum(1 + (rng.random(n) < 0.05) * rng.integers(1, 10, n)),
+                   rng.integers(0, 500_000, n) / 100)
+        for n in (65535, 65536, 65537, 131081, 10**6 + 3))
+    short_segments = (
+        one_segment([(t, p / 100) for t, p in random_gappy_trace(rng, length=n, max_power=500_000,
+                                                                 gap_chance=0.05)])
+        for n in (7, 8, 9, 127, 128, 129, 135, 136, 137, 255, 256, 257, 263, 264, 1023, 1024,
+                  1025, 8191, 8192, 8193))
+    for seg in itertools.chain(short_segments, long_segments):
         for sample, param in [(sample_time_based, dt) for dt in (1, 3, 10**6)] + [
                 (sample_event_based, th) for th in thresholds]:
             yield [seg], [sample(seg, param)]
@@ -132,19 +143,14 @@ def test_held_powers_and_pooled_score_match_the_index_route():
     silences = 0
     for segments, streams in scoring_cases():
         num = den = 0.0
-        errors = np.empty(max(map(len, segments)) + 1)
         for seg, stream in zip(segments, streams):
             expected = indexed_held_powers(stream, seg)
             held = reconstruct(stream, seg).powers
             assert held.tobytes() == expected.tobytes()
-            # the kernel writes every error once (a cell it skips stays NaN), and
-            # its numerator is bit for bit that of the numpy route
-            errors.fill(np.nan)
-            bounds, power = _intervals(stream, seg)
-            library().held_errors(seg.powers, bounds, power, power.size, errors)
-            reference = np.abs(seg.powers - held)
-            assert errors[:len(seg)].tobytes() == reference.tobytes()
-            assert errors[:len(seg)].sum().tobytes() == reference.sum().tobytes()
+            # the kernel's numerator is bit for bit np.sum of the numpy route's errors
+            total = library().held_error_sum(seg.timestamps, seg.powers, len(seg),
+                                             stream.timestamps, _interval_powers(stream, seg))
+            assert np.float64(total).tobytes() == np.abs(seg.powers - held).sum().tobytes()
             n, d = error_components(seg, PowerTrace(seg.timestamps, expected))
             num += n
             den += d
@@ -330,6 +336,31 @@ def test_run_sweep_rows_compose_per_segment_operations_for_any_spec():
         assert (row.nmae, row.message_count, row.compression_vs_10s) == expected(streams)
 
 
+def test_run_sweep_rows_hold_under_rapid_thread_switches():
+    # the scorer thread reads the segments while this thread samples them and fills
+    # their caches; switching threads every microsecond must change no row
+    rng = np.random.default_rng(1809)
+    trace = validate_trace(random_gappy_trace(rng, length=3000, gap_chance=0.004, max_gap=400))
+    segments = segment_trace(trace, max_gap=60)
+    assert len(segments) >= 3
+    th_grid = threshold_grid(trace_stats(trace), DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                             ThresholdSpec())
+    rows = [(sample_time_based, dt) for dt in DEFAULT_DT_GRID] + [
+        (sample_event_based, th) for _, _, th in th_grid]
+    expected = []
+    for sample, param in rows:
+        parts = [error_components(seg, reconstruct(sample(seg, param), seg)) for seg in segments]
+        expected.append(sum(n for n, _ in parts) / sum(d for _, d in parts))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                           ThresholdSpec(), max_gap=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row.nmae for row in result.time_based + result.event_based] == expected
+
+
 def test_run_sweep_samples_each_segment_once_per_grid_point(monkeypatch):
     # the traced benchmark times and counts sampling by wrapping the public samplers where
     # run_sweep looks them up; a private sampling step would hide every call from it
@@ -376,6 +407,26 @@ def test_run_sweep_rejects_empty_grids():
         run_sweep(trace, [10], [], [1], ThresholdSpec(), max_gap=3600)
     with pytest.raises(ValueError, match="delta_t must be an integer"):  # not truncated to 10
         run_sweep(trace, [10.5, 10], [1], [1], ThresholdSpec(), max_gap=3600)
+
+
+def test_run_sweep_raises_as_a_serial_loop_and_leaves_no_thread_behind():
+    # rows are scored on a second thread while the next ones are sampled: every
+    # earlier row is still scored before a later step's error leaves
+    zero = validate_trace([(t, 0.0) for t in range(100)])
+    threads = threading.active_count()
+    with pytest.raises(ZeroEnergySegmentError):  # the dt = 10 row's, not dt = 10.5's ValueError
+        run_sweep(zero, [10, 10.5], [1], [1], ThresholdSpec(), max_gap=3600)
+    assert threading.active_count() == threads
+    with pytest.raises(ZeroEnergySegmentError):  # not threshold_grid's DegenerateStatsError
+        run_sweep(zero, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                  ThresholdSpec(), max_gap=3600)
+    assert threading.active_count() == threads
+    with pytest.raises(ValueError, match="delta_t must be an integer"):
+        run_sweep(sweep_fixture_trace(), [10, 60, 10.5], [1], [1], ThresholdSpec(), max_gap=3600)
+    assert threading.active_count() == threads
+    run_sweep(sweep_fixture_trace(), DEFAULT_DT_GRID, [1, 5], [1, 5], ThresholdSpec(),
+              max_gap=3600)
+    assert threading.active_count() == threads
 
 
 def test_run_sweep_compression_reference_present_even_without_dt10():

@@ -3,6 +3,7 @@ replaced, and how the kernel library is built, cached and shared with the
 channel-file scanner."""
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterdelta import PowerTrace, Thresholds, sample_event_based, segment_trace, validate_trace
+from meterdelta import _kernels
 from meterdelta._kernels import SOURCE, library
 from oracles import python_event_readings, random_gappy_trace
 
@@ -226,3 +228,15 @@ def test_kernel_source_compiles_without_a_warning(tmp_path):
     done = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-c", "-o",
                            str(tmp_path / "k.o"), str(SOURCE)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_kernel_has_its_ctypes_signature_and_every_binding_its_kernel():
+    # a binding left behind by a removed kernel fails here by name, not inside library()
+    definitions = r"^(?!static\b)[A-Za-z_][\w ]*?\**\b(\w+)\("  # at column 0, not static
+    exported = set(re.findall(definitions, SOURCE.read_text(), re.M))
+    binding = Path(_kernels.__file__).read_text()
+    argtypes = set(re.findall(r"^ *kernels\.(\w+)\.argtypes = ", binding, re.M))
+    restypes = set(re.findall(r"^ *kernels\.(\w+)\.restype = ", binding, re.M))
+    assert exported == {"event_scan", "held_error_sum", "scan_channel", "merge_legs", "last_rows"}
+    assert argtypes == restypes == exported
+    assert set(re.findall(r"\bkernels\.(\w+)", binding)) == exported
