@@ -241,13 +241,12 @@ int64_t scan_channel(const char *text, int64_t len, sample *out, int64_t room)
 /* Row k of a leg read through its row indices: idx[k], or k when idx is NULL. */
 #define ROW(leg, idx, k) (leg)[(idx) ? (idx)[k] : (k)]
 
-/* Mains legs merged on their common timestamps; see ingest.combine_mains.
+/* The two mains legs merged on their common timestamps; see ingest.combine_mains.
  *
  * Leg a is read through its row indices ia (NULL: in file order), b through
  * ib; read so, each leg is sorted by timestamp, each timestamp at most once.
- * Writes each common timestamp with the power 0.0 + a + b and returns the
- * number of rows written, at most min(na, nb). out may be a itself only when
- * ia is NULL: row k of out is written only after row k of a has been read.
+ * Writes each common timestamp to out (which overlaps neither leg) with the power
+ * 0.0 + a + b, the same in either order; returns the rows written, <= min(na, nb).
  */
 int64_t merge_legs(const sample *a, const int64_t *ia, int64_t na, const sample *b,
                    const int64_t *ib, int64_t nb, sample *out)

@@ -1,5 +1,5 @@
 """The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler), the
-held-error sum in np.sum's pairwise order (evaluate), the channel-file scan and the leg
+held-error sum in np.sum's pairwise order (evaluate), the channel-file scan and the two-leg
 merge, which reads a leg through row indices or, for None, in file order (ingest), and
 last-value-wins (trace). ctypes drops the GIL for each call, so another thread runs on.
 

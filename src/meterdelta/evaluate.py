@@ -13,7 +13,6 @@ np.sum's pairwise order, bit-equal to reconstruct's numpy route.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,35 +144,30 @@ def run_sweep(
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
-    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it: 4 ms of import
+    from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs it: 4 ms of import
 
-    points, scores, pending = [], [], deque()
-
-    def collect(ahead: int) -> None:
-        """Read scores in grid order until at most ahead rows wait. A failed
-        row stays at the head, so reading it again raises its error again."""
-        while len(pending) > ahead:
-            scores.append(pending[0].result())
-            pending.popleft()
-
+    futures, grid = [], []
     with ThreadPoolExecutor(1) as scorer:
-        def row(sample, param, **point) -> None:
+        def row(sample, param) -> None:
             """Sample every segment with one grid point's parameter here, then
             score the row pooled on the scorer thread (the kernel drops the GIL)."""
             streams = [sample(s, param) for s in segments]
-            collect(_ROWS_AHEAD - 1)
-            pending.append(scorer.submit(_pooled_score, segments, streams))
-            points.append(point)
+            if len(futures) >= _ROWS_AHEAD:  # one scorer runs rows in order: earlier ones are done
+                wait([futures[-_ROWS_AHEAD]])
+            futures.append(scorer.submit(_pooled_score, segments, streams))
 
-        try:  # every earlier row is scored before an error leaves; the first in grid order wins
+        try:
             # samplers are named here, at call time, so wrappers installed on this module
             # apply; they run on this thread alone
             for dt in dt_values:
-                row(sample_time_based, dt, dt=int(dt))
+                row(sample_time_based, dt)
             for p, e, th in threshold_grid(stats, p_list, e_list, spec):
-                row(sample_event_based, th, p_percent=float(p), e_percent=float(e), thresholds=th)
-        finally:
-            collect(0)
-    rows = [EvalResult(pooled_nmae, count, compression_ratio(reference_count, count), **point)
-            for (pooled_nmae, count), point in zip(scores, points)]
-    return SweepResult(stats, tuple(rows[:len(dt_values)]), tuple(rows[len(dt_values):]))
+                row(sample_event_based, th)
+                grid.append({"p_percent": float(p), "e_percent": float(e), "thresholds": th})
+        finally:  # every sampled row is scored before an error leaves; the first in grid order wins
+            scores = [future.result() for future in futures]
+    scored = [(score, count, compression_ratio(reference_count, count)) for score, count in scores]
+    # sampled without error, each dt is a whole number, which int() takes
+    time_based = tuple(EvalResult(*r, dt=int(dt)) for r, dt in zip(scored, dt_values))
+    event_based = tuple(EvalResult(*r, **point) for r, point in zip(scored[len(dt_values):], grid))
+    return SweepResult(stats, time_based, event_based)

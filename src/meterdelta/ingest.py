@@ -180,28 +180,23 @@ def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> tuple
 
 
 def combine_mains(channels: Sequence) -> np.ndarray:
-    """Sum channels per timestamp, keeping only timestamps present in all.
+    """Sum the two mains legs per timestamp, keeping only timestamps in both.
 
-    A missing reading on either mains leg means the house total is unknown
-    for that second; filling with zero would corrupt the peak statistics, so
-    intersection semantics are deliberate (and logged). Within a channel,
-    duplicate timestamps keep the last value. A C kernel sums the legs in
-    channel order, 0.0 + first + ..., exact and order-free for two legs.
+    A missing reading on either leg means the house total is unknown for
+    that second; filling with zero would corrupt the peak statistics, so
+    intersection semantics are deliberate (and logged). Within a leg,
+    duplicate timestamps keep the last value. A C kernel writes 0.0 + first
+    + second, exact and the same in either leg order. Any number of channels
+    but two raises ValueError.
     """
-    if not channels:
-        raise EmptyInputError("need at least one channel")
+    if len(channels) != 2:
+        raise ValueError(f"need exactly two mains legs, got {len(channels)}")
     legs = [np.ascontiguousarray(_as_samples(ch)) for ch in channels]  # C reads rows in place
     orders = [_last_value_wins(leg) for leg in legs]
     sizes = [leg.size if rows is None else rows.size for leg, rows in zip(legs, orders)]
-    if len(legs) == 1:  # a gather, or a copy: never the input, as 0.0 is added in place
-        total = legs[0].copy() if orders[0] is None else legs[0][orders[0]]
-        total["power"] += 0.0  # the builtin sum's start, which turns -0.0 into 0.0
-    else:  # the first two legs into a fresh array, then each later one into that array
-        merge, total = library().merge_legs, np.empty(min(sizes[:2]), SAMPLE_DTYPE)
-        n = merge(legs[0], orders[0], sizes[0], legs[1], orders[1], sizes[1], total)
-        for leg, rows, size in zip(legs[2:], orders[2:], sizes[2:]):
-            n = merge(total, None, n, leg, rows, size, total)
-        total = total[:n]
+    (a, b), (ia, ib), (na, nb) = legs, orders, sizes
+    total = np.empty(min(na, nb), SAMPLE_DTYPE)
+    total = total[:library().merge_legs(a, ia, na, b, ib, nb, total)]
     dropped = [size - total.size for size in sizes]
     if any(dropped):
         log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)

@@ -61,7 +61,7 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     covering the remainder. A reading's energy is the sum over the window's
     present samples, so windows inside data gaps emit zero energy.
     """
-    if delta_t != int(delta_t) or int(delta_t) < 1:
+    if not 1 <= delta_t < math.inf or delta_t != int(delta_t):  # nan and inf fail before int()
         raise ValueError("delta_t must be an integer >= 1")
     delta_t = int(delta_t)
     ts, pw = segment.timestamps, segment.powers

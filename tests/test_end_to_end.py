@@ -7,7 +7,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meterdelta import ThresholdSpec
+from meterdelta import (ThresholdSpec, load_redd_house, sample_event_based, sample_time_based,
+                        segment_trace, validate_trace)
 from meterdelta.cli import _sweep_csv, _sweep_json, main
 from meterdelta.errors import DegenerateStatsError
 
@@ -58,6 +59,15 @@ def test_sweep_reports_match_the_reference_sweep(tmp_path_factory, house, dts, p
     except DegenerateStatsError:  # a flat trace, or one with no energy: no threshold to derive
         assert main(argv) == 1
         return
+    # each row's stream of each segment holds the segment's energy: a reading with energy,
+    # dropped or doubled, moves the sum by 0.01 Ws or more, far past the tolerance here
+    rows = [(sample_time_based, r.dt) for r in expected.time_based]
+    rows += [(sample_event_based, r.thresholds) for r in expected.event_based]
+    for segment in segment_trace(validate_trace(load_redd_house(house_dir)), max_gap):
+        energy = math.fsum(segment.powers)
+        for sample, param in rows:
+            assert math.isclose(math.fsum(sample(segment, param).energy_ws), energy,
+                                rel_tol=1e-9, abs_tol=1e-9)  # the floor: all-zero segments
     assert main(argv) == 0
     assert (out / "house_sweep.json").read_bytes() == _sweep_json("house", expected).encode()
     assert (out / "house_sweep.csv").read_bytes() == _sweep_csv(expected).encode()

@@ -405,8 +405,9 @@ def test_run_sweep_rejects_empty_grids():
         run_sweep(trace, [], [1], [1], ThresholdSpec(), max_gap=3600)
     with pytest.raises(ValueError):
         run_sweep(trace, [10], [], [1], ThresholdSpec(), max_gap=3600)
-    with pytest.raises(ValueError, match="delta_t must be an integer"):  # not truncated to 10
-        run_sweep(trace, [10.5, 10], [1], [1], ThresholdSpec(), max_gap=3600)
+    for bad in (10.5, math.inf, math.nan):  # not truncated to 10, nor an OverflowError
+        with pytest.raises(ValueError, match="delta_t must be an integer >= 1"):
+            run_sweep(trace, [bad, 10], [1], [1], ThresholdSpec(), max_gap=3600)
 
 
 def test_run_sweep_raises_as_a_serial_loop_and_leaves_no_thread_behind():

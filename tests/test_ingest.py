@@ -205,13 +205,13 @@ def test_combine_intersection_drops_partial_timestamps():
     assert combine_mains([[(0, 100.0), (1, 100.0)], [(0, 50.0)]]).tolist() == [(0, 150.0)]
 
 
-def test_combine_single_channel_identity():
-    ch = [(0, 1.0), (5, 2.0)]
-    assert combine_mains([ch]).tolist() == ch
+def test_combine_rejects_a_single_channel():
+    with pytest.raises(ValueError, match="need exactly two mains legs, got 1"):
+        combine_mains([[(0, 1.0), (5, 2.0)]])
 
 
 def test_combine_requires_channels():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ValueError, match="need exactly two mains legs, got 0"):
         combine_mains([])
 
 
@@ -238,18 +238,22 @@ def test_combine_logs_samples_lost_to_intersection(caplog):
             max_size=20,
             unique_by=lambda pair: pair[0],
         ),
-        min_size=1,
+        min_size=2,
         max_size=2,
     )
 )
 def test_combine_commutative(channels):
     assert combine_mains(channels).tolist() == combine_mains(list(reversed(channels))).tolist()
+    with pytest.raises(ValueError, match="need exactly two mains legs, got 1"):
+        combine_mains(channels[:1])
 
 
 def test_combine_sums_in_channel_order():
-    legs = [[(0, 0.3)], [(0, 0.2)], [(0, 0.1)]]
-    assert combine_mains(legs).tolist() == [(0, 0.6)]
-    assert combine_mains(legs[::-1]).tolist() == [(0, 0.6000000000000001)]
+    # 0.0 + first + second, as the builtin sum adds them: one rounding, so either order
+    legs = [[(0, 0.1)], [(0, 0.2)]]
+    assert combine_mains(legs).tolist() == combine_mains(legs[::-1]).tolist() == [(0, 0.1 + 0.2)]
+    with pytest.raises(ValueError, match="need exactly two mains legs, got 3"):  # whose order mattered
+        combine_mains([[(0, 0.3)], [(0, 0.2)], [(0, 0.1)]])
 
 
 # 2-decimal meter readings, with both zeros named: floats(min_value=0) never draws -0.0
@@ -264,18 +268,16 @@ _LEG = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_LEG, min_size=1, max_size=3))
+@given(st.lists(_LEG, min_size=2, max_size=2))
 @example([[(0, -0.0)], [(0, -0.0)]])
-@example([[(0, -0.0)]])
-@example([[(0, -0.0)], [(0, -0.0)], [(0, -0.0)]])
 def test_leg_sum_is_bit_identical_to_the_reference_routes(legs):
     per_second = [dict(leg) for leg in legs]
     common = sorted(set.intersection(*map(set, per_second)))
-    # per second, the builtin sum in channel order, which turns a lone -0.0 into 0.0
+    # per second, the builtin sum in channel order, which turns -0.0 + -0.0 into 0.0
     total = np.array([sum(leg[t] for leg in per_second) for t in common], dtype=np.float64)
     references = [(legs, common, total)]
-    if len(legs) == 2:  # and the sorted route, in both leg orders
-        references += [(pair, *sorted_leg_sum(pair)) for pair in (legs, legs[::-1])]
+    # and the sorted route, in both leg orders
+    references += [(pair, *sorted_leg_sum(pair)) for pair in (legs, legs[::-1])]
     # each leg also as a SAMPLE_DTYPE array, in every layout, one layout per leg in turn
     for shift in range(len(LAYOUTS)):
         arrays = [_laid_out(leg, LAYOUTS[(k + shift) % len(LAYOUTS)]) for k, leg in enumerate(legs)]
@@ -284,6 +286,9 @@ def test_leg_sum_is_bit_identical_to_the_reference_routes(legs):
         combined = combine_mains(channels)
         assert combined["timestamp"].tolist() == timestamps
         assert combined["power"].tobytes() == powers.tobytes()
+    for channels in (legs[:1], legs + legs[:1]):  # one leg, or three, is no house total
+        with pytest.raises(ValueError, match=f"need exactly two mains legs, got {len(channels)}"):
+            combine_mains(channels)
 
 
 LAYOUTS = ("contiguous", "reversed", "every other row")

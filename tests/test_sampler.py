@@ -103,10 +103,9 @@ def test_time_based_window_edges_past_half_the_int64_range():
 
 
 def test_time_based_rejects_bad_dt(segment_a):
-    with pytest.raises(ValueError):
-        sample_time_based(segment_a, 0)
-    with pytest.raises(ValueError):
-        sample_time_based(segment_a, 2.5)
+    for bad in (0, 2.5, math.inf, math.nan):  # inf and nan are refused before int() sees them
+        with pytest.raises(ValueError, match="delta_t must be an integer >= 1"):
+            sample_time_based(segment_a, bad)
 
 
 def test_time_based_matches_window_sum_oracle():

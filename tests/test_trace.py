@@ -116,9 +116,12 @@ def _raw_samples(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_raw_samples(), min_size=1, max_size=3))
+@given(st.lists(_raw_samples(), min_size=2, max_size=2))
 def test_loaders_and_validators_neither_write_to_nor_alias_their_input(legs):
     before = [leg.tobytes() for leg in legs]
+    for channels in (legs[:1], legs + legs[:1]):  # refused, and the inputs are still as they were
+        with pytest.raises(ValueError, match="need exactly two mains legs"):
+            combine_mains(channels)
     total = combine_mains(legs)
     traces = [validate_trace(leg) for leg in legs]
     assert [leg.tobytes() for leg in legs] == before
