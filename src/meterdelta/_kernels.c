@@ -6,39 +6,45 @@
 /* Send-on-delta scan over one segment; see sampler.sample_event_based.
  *
  * Keeps the reference loop's order of floating-point operations exactly:
- * book the previous sample's held energy, then test power delta, energy
- * and silence, in that priority (codes 1, 2, 3 index sampler.TRIGGERS).
- * silence == 0 disables the silence trigger; the unsigned subtraction is
- * exact for any increasing pair of int64 timestamps. Writes the index,
- * trigger code and energy of each fired reading, then the final flush
- * energy after them, and returns the number of fired readings.
+ * book the previous sample's held energy, then test power delta, energy and
+ * silence against the last row, in that priority (codes 1, 2, 3; each code
+ * indexes sampler.TRIGGERS). silence == 0 disables the silence trigger; the
+ * unsigned subtraction is exact for any increasing pair of int64 timestamps.
+ * Writes the whole stream and returns its row count, at most n + 1: the
+ * baseline, each fired reading and the final flush at ts[n - 1] + 1 <= 2**63 - 1.
  */
 int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
-                   double e_ws, uint64_t silence, int64_t *idx, uint8_t *code,
-                   double *energy)
+                   double e_ws, uint64_t silence, int64_t *stamp, uint8_t *code,
+                   double *energy, double *power)
 {
-    int64_t count = 0, t_last = ts[0];
-    double p_ref = pw[0], acc = 0.0;
+    int64_t rows = 1;
+    double acc = 0.0;
+    stamp[0] = ts[0];
+    code[0] = 0;
+    energy[0] = 0.0;
+    power[0] = pw[0];
     for (int64_t i = 1; i < n; i++) {
         uint8_t fired;
         acc += pw[i - 1];
-        if (fabs(pw[i] - p_ref) >= dp)
+        if (fabs(pw[i] - power[rows - 1]) >= dp)
             fired = 1;
         else if (acc >= e_ws)
             fired = 2;
-        else if (silence && (uint64_t)ts[i] - (uint64_t)t_last >= silence)
+        else if (silence && (uint64_t)ts[i] - (uint64_t)stamp[rows - 1] >= silence)
             fired = 3;
         else
             continue;
-        idx[count] = i;
-        code[count] = fired;
-        energy[count++] = acc;
-        t_last = ts[i];
-        p_ref = pw[i];
+        stamp[rows] = ts[i];
+        code[rows] = fired;
+        energy[rows] = acc;
+        power[rows++] = pw[i];
         acc = 0.0;
     }
-    energy[count] = acc + pw[n - 1];
-    return count;
+    stamp[rows] = ts[n - 1] + 1;
+    code[rows] = 5;
+    energy[rows] = acc + pw[n - 1];
+    power[rows] = pw[n - 1];
+    return rows + 1;
 }
 
 /* A segment's samples walked against a stream's reading intervals: interval k

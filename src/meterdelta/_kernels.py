@@ -1,7 +1,7 @@
-"""The compiled kernels of ``_kernels.c``: the send-on-delta scan (sampler), the
-held-error sum in np.sum's pairwise order (evaluate), the channel-file scan and the two-leg
-merge, which reads a leg through row indices or, for None, in file order (ingest), and
-last-value-wins (trace). ctypes drops the GIL for each call, so another thread runs on.
+"""The compiled kernels of ``_kernels.c``: the send-on-delta scan, which writes each event
+stream whole (sampler), the held-error sum in np.sum's pairwise order (evaluate), the
+channel-file scan and the two-leg merge, which reads a leg through row indices or, for None,
+in file order (ingest), and last-value-wins (trace). ctypes drops the GIL for each call.
 
 All five come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
@@ -59,7 +59,7 @@ def library() -> ctypes.CDLL:
     class order:  # row indices, or None for file order (a NULL pointer)
         from_param = staticmethod(lambda obj: obj if obj is None else i64.from_param(obj))
     kernels.event_scan.argtypes = [i64, f64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                                   ctypes.c_uint64, i64, column(np.uint8), f64]
+                                   ctypes.c_uint64, i64, column(np.uint8), f64, f64]
     kernels.event_scan.restype = ctypes.c_int64
     kernels.scan_channel.argtypes = [ctypes.c_char_p, ctypes.c_int64, rows, ctypes.c_int64]
     kernels.scan_channel.restype = ctypes.c_int64

@@ -11,9 +11,10 @@ which keeps window sums and reconstruction exact. Divide by
 SECONDS_PER_HOUR at presentation boundaries. Periodic windows take their
 energies from the segment's cumulative sums, computed once per segment.
 
-The send-on-delta scan is a C kernel from ``_kernels``, built with cc (never
-at import) at the first event sampling, sweep scoring, channel-file parse or
-mains combine, and cached in $XDG_CACHE_HOME/meterdelta/.
+The send-on-delta scan is a C kernel from ``_kernels`` that writes each event
+stream whole. The kernels are built with cc (never at import) at the first
+event sampling, sweep scoring, channel-file parse, mains combine or
+validation of unordered rows, and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 
@@ -101,18 +102,13 @@ def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     as a "final" reading at the segment end. The scan runs in C.
     """
     ts, pw = segment.timestamps, segment.powers
-    start, end = segment.start, segment.end
     silence, n = th.max_silence_s, len(ts)
     # 0 turns silence off; a period past the span never fires, so huge ones never reach ctypes
     enabled = silence is not None and silence <= int(ts[-1]) - int(ts[0])
-    idx, codes, energy = np.empty(n, np.int64), np.empty(n, np.uint8), np.empty(n)
-    count = library().event_scan(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
-                                 math.ceil(silence) if enabled else 0, idx, codes, energy)
-    idx = idx[:count]  # the buffers' untouched tails are never copied
-    return ReadingStream(np.concatenate(([start], ts[idx], [end])),
-                         np.concatenate(([INITIAL], codes[:count], [FINAL])),
-                         np.concatenate(([0.0], energy[:count + 1])),
-                         np.concatenate(([pw[0]], pw[idx], [pw[-1]])))
+    columns = np.empty(n + 1, np.int64), np.empty(n + 1, np.uint8), np.empty(n + 1), np.empty(n + 1)
+    rows = library().event_scan(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
+                                math.ceil(silence) if enabled else 0, *columns)
+    return ReadingStream(*(column[:rows] for column in columns))  # copies only the rows written
 
 
 def message_count(stream: ReadingStream) -> int:

@@ -27,10 +27,10 @@ DEFAULT_PERCENT_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 class Thresholds:
     """Event-trigger parameters.
 
-    math.inf disables the power or energy trigger; max_silence_s of None
-    disables the time trigger (the default operating mode). At least one
-    trigger must remain reachable, or no message after the initial baseline
-    would ever be sent.
+    math.inf disables the power or energy trigger; max_silence_s of None (the
+    default operating mode) or math.inf disables the time trigger. At least
+    one trigger must remain reachable, or no message after the initial
+    baseline would ever be sent.
     """
 
     power_delta_w: float
@@ -42,13 +42,11 @@ class Thresholds:
             raise ValueError("power_delta_w must be positive (math.inf to disable)")
         if not self.energy_wh > 0:
             raise ValueError("energy_wh must be positive (math.inf to disable)")
-        if self.max_silence_s is not None and self.max_silence_s < 1:
+        if self.max_silence_s is not None and not self.max_silence_s >= 1:
             raise ValueError("max_silence_s must be >= 1 when set")
-        if (
-            math.isinf(self.power_delta_w)
-            and math.isinf(self.energy_wh)
-            and self.max_silence_s is None
-        ):
+        # in, not isinf: a huge int silence compares with inf exactly but overflows a float
+        if math.isinf(self.power_delta_w) and math.isinf(self.energy_wh) and (
+                self.max_silence_s in (None, math.inf)):
             raise ValueError("at least one trigger must be reachable")
 
 

@@ -220,23 +220,23 @@ def _steps(timestamps: np.ndarray) -> np.ndarray:
     return np.diff(timestamps.view(np.uint64))
 
 
+def _one_second_changes(trace: PowerTrace) -> np.ndarray:
+    """|power change| between each pair of samples exactly one second apart, in order."""
+    return np.abs(np.diff(trace.powers))[_steps(trace.timestamps) == 1]
+
+
 def trace_stats(trace: PowerTrace) -> TraceStats:
     """Compute :class:`TraceStats` for a validated trace."""
-    step = _steps(trace.timestamps)
-    adjacent = step == 1
-    if adjacent.any():
-        peak_variation = float(np.abs(np.diff(trace.powers))[adjacent].max())
-    else:
-        peak_variation = 0.0
+    changes = _one_second_changes(trace)
     duration = trace.duration
     return TraceStats(
         peak_power_w=float(trace.powers.max()),
-        peak_variation_w=peak_variation,
+        peak_variation_w=float(changes.max()) if changes.size else 0.0,
         total_energy_wh=trace.total_energy_wh,
         mean_daily_energy_wh=trace.total_energy_wh / (duration / SECONDS_PER_DAY),
         coverage=len(trace) / duration,
         duration_s=duration,
-        gap_count=int(np.count_nonzero(step > 1)),
+        gap_count=int(np.count_nonzero(_steps(trace.timestamps) > 1)),
     )
 
 
@@ -264,11 +264,9 @@ def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:
     zeros rather than failing; a trace with no adjacent sample pair at all
     raises DegenerateTraceError.
     """
-    adjacent = _steps(trace.timestamps) == 1
-    if not adjacent.any():
+    diffs = np.sort(_one_second_changes(trace))[::-1]
+    if diffs.size == 0:
         raise DegenerateTraceError("no pair of samples exactly one resolution step apart")
-    diffs = np.abs(np.diff(trace.powers))[adjacent]
-    diffs = np.sort(diffs)[::-1]
     peak = diffs[0]
     normalized = diffs / peak if peak > 0 else np.zeros_like(diffs)
     rank = np.arange(1, diffs.size + 1, dtype=np.float64) / diffs.size

@@ -10,12 +10,13 @@ import threading
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meterdelta import PowerTrace, Thresholds, sample_event_based, segment_trace, validate_trace
 from meterdelta import _kernels
 from meterdelta._kernels import SOURCE, library
+from meterdelta.sampler import FINAL, INITIAL, POWER_DELTA
 from oracles import python_event_readings, random_gappy_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +60,11 @@ def traces_and_thresholds(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(traces_and_thresholds())
+# every sample fires, so the kernel writes all n + 1 rows
+@example((PowerTrace(np.arange(50), np.tile([0.0, 1000.0], 25)), Thresholds(1.0, math.inf), 1))
+# the final row lands on 2**63 - 1
+@example((PowerTrace(np.arange(2**63 - 4, 2**63 - 1), np.array([5.0, 100.0, 5.0])),
+          Thresholds(50.0, 0.01, 1), 10**9))
 def test_kernel_matches_python_loop_bit_for_bit(case):
     trace, th, max_gap = case
     for segment in segment_trace(trace, max_gap):
@@ -74,6 +80,15 @@ def test_kernel_silence_across_the_whole_int64_range():
         stream = sample_event_based(seg, th)
         assert_same_stream(stream, python_event_readings(seg, th))
         assert stream.timestamps[1:-1].tolist() == seg.timestamps[fired].tolist()
+
+
+def assert_two_sample_stream(kernel):
+    """A direct kernel call on two samples writes the baseline, a power delta at
+    t = 1 and the final flush at t = 2."""
+    columns = np.empty(3, np.int64), np.empty(3, np.uint8), np.empty(3), np.empty(3)
+    assert kernel(np.array([0, 1]), np.array([1.0, 9.0]), 2, 5.0, math.inf, 0, *columns) == 3
+    assert [c.tolist() for c in columns] == [[0, 1, 2], [INITIAL, POWER_DELTA, FINAL],
+                                             [0.0, 1.0, 9.0], [1.0, 9.0, 9.0]]
 
 
 def _run(env_update, *args):
@@ -183,10 +198,7 @@ def test_stale_temporary_files_do_not_break_the_build(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "second"))
     kernel = library.__wrapped__().event_scan
     assert sorted(cache.iterdir()) == sorted([cache / built.name, stale[1]])
-    idx, codes, energy = np.empty(2, np.int64), np.empty(2, np.uint8), np.empty(2)
-    ts, pw = np.array([0, 1]), np.array([1.0, 9.0])
-    assert kernel(ts, pw, 2, 5.0, math.inf, 0, idx, codes, energy) == 1
-    assert (idx[0], codes[0], energy[0], energy[1]) == (1, 1, 1.0, 9.0)
+    assert_two_sample_stream(kernel)
 
 
 def test_concurrent_first_builds_all_succeed(tmp_path, monkeypatch):
@@ -207,10 +219,8 @@ def test_concurrent_first_builds_all_succeed(tmp_path, monkeypatch):
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads) and not errors and len(kernels) == 4
-    idx, codes, energy = np.empty(2, np.int64), np.empty(2, np.uint8), np.empty(2)
-    ts, pw = np.array([0, 1]), np.array([1.0, 9.0])
     for kernel in kernels:
-        assert kernel(ts, pw, 2, 5.0, math.inf, 0, idx, codes, energy) == 1
+        assert_two_sample_stream(kernel)
     assert [p.suffix for p in (tmp_path / "threads" / "meterdelta").iterdir()] == [".so"]
 
     env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "procs")}

@@ -150,6 +150,10 @@ def test_thresholds_validation():
         Thresholds(power_delta_w=60.0, energy_wh=-1.0)
     with pytest.raises(ValueError):
         Thresholds(power_delta_w=60.0, energy_wh=60.0, max_silence_s=0)
+    with pytest.raises(ValueError):  # NaN silence can never fire
+        Thresholds(power_delta_w=math.inf, energy_wh=math.inf, max_silence_s=math.nan)
+    with pytest.raises(ValueError):  # infinite silence is disabled, like None
+        Thresholds(power_delta_w=math.inf, energy_wh=math.inf, max_silence_s=math.inf)
 
 
 def test_spec_validation():
