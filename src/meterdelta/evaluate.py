@@ -7,9 +7,11 @@ original powers; it penalizes large deviations less brutally than squared
 metrics, which matters for spiky household signals. A sweep takes a whole
 trace, derives its thresholds once, and scores whole grids of periodic and
 event parameters on its segments. It samples each grid point's row on the
-calling thread and scores the row on one worker thread while the next row is
-sampled: one C pass per segment, which drops the GIL and sums the errors in
-np.sum's pairwise order, bit-equal to reconstruct's numpy route.
+calling thread and hands it at once to one worker thread, which scores it in
+one C pass per segment that drops the GIL and sums the errors in np.sum's
+pairwise order, bit-equal to reconstruct's numpy route. The calling thread
+waits for scores only once every row is sampled; the queued rows need no
+bound, as the scan's buffers and ingest, not their streams, set peak memory.
 """
 from __future__ import annotations
 
@@ -30,9 +32,6 @@ from .trace import PowerTrace, TraceStats, _steps, segment_trace, trace_stats
 
 DEFAULT_DT_GRID = (10, 30, 60, 300, 600, 900, 1800, 3600, 7200)
 COMPRESSION_REFERENCE_DT = 10
-# rows sampled but not yet scored: enough to keep the scoring thread fed, few
-# enough that their streams add little memory
-_ROWS_AHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,10 @@ def run_sweep(
     Thresholds derive once from the whole trace's statistics. The trace is
     split at gaps longer than max_gap seconds; each grid point is sampled and
     scored per segment and pooled. compression_vs_10s always compares against
-    the 10 s periodic strategy, whether or not 10 appears in dt_list. Rows are
-    sampled on the calling thread, in grid order, and scored on one worker
-    thread; an error leaves as it would from a serial loop over the rows.
+    the 10 s periodic strategy, whether or not 10 appears in dt_list. Each row
+    is sampled on the calling thread, in grid order, and handed at once to one
+    worker thread to be scored; this thread waits for scores only after the
+    last row, and an error leaves as it would from a serial loop over the rows.
     """
     dt_values = list(dict.fromkeys(dt_list))  # sample_time_based rejects a fractional dt
     if not dt_values:
@@ -144,16 +144,12 @@ def run_sweep(
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
-    from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs it: 4 ms of import
+    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it: 4 ms of import
 
-    futures, grid = [], []
+    futures = []
     with ThreadPoolExecutor(1) as scorer:
-        def row(sample, param) -> None:
-            """Sample every segment with one grid point's parameter here, then
-            score the row pooled on the scorer thread (the kernel drops the GIL)."""
+        def row(sample, param) -> None:  # sampled here, scored pooled on the scorer thread
             streams = [sample(s, param) for s in segments]
-            if len(futures) >= _ROWS_AHEAD:  # one scorer runs rows in order: earlier ones are done
-                wait([futures[-_ROWS_AHEAD]])
             futures.append(scorer.submit(_pooled_score, segments, streams))
 
         try:
@@ -161,13 +157,15 @@ def run_sweep(
             # apply; they run on this thread alone
             for dt in dt_values:
                 row(sample_time_based, dt)
-            for p, e, th in threshold_grid(stats, p_list, e_list, spec):
+            # after the periodic rows: a zero trace fails with their ZeroEnergySegmentError
+            grid = threshold_grid(stats, p_list, e_list, spec)
+            for _, _, th in grid:
                 row(sample_event_based, th)
-                grid.append({"p_percent": float(p), "e_percent": float(e), "thresholds": th})
         finally:  # every sampled row is scored before an error leaves; the first in grid order wins
             scores = [future.result() for future in futures]
     scored = [(score, count, compression_ratio(reference_count, count)) for score, count in scores]
     # sampled without error, each dt is a whole number, which int() takes
     time_based = tuple(EvalResult(*r, dt=int(dt)) for r, dt in zip(scored, dt_values))
-    event_based = tuple(EvalResult(*r, **point) for r, point in zip(scored[len(dt_values):], grid))
+    event_based = tuple(EvalResult(*r, p_percent=float(p), e_percent=float(e), thresholds=th)
+                        for r, (p, e, th) in zip(scored[len(dt_values):], grid))
     return SweepResult(stats, time_based, event_based)

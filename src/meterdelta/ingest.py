@@ -187,7 +187,9 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     intersection semantics are deliberate (and logged). Within a leg,
     duplicate timestamps keep the last value. A C kernel writes 0.0 + first
     + second, exact and the same in either leg order. Any number of channels
-    but two raises ValueError.
+    but two raises ValueError. No power is checked: a negative reading in one
+    leg can vanish in the sum (-5 W + 10 W gives 5 W, which validate_trace
+    then accepts), so load_redd_house checks each leg before the sum.
     """
     if len(channels) != 2:
         raise ValueError(f"need exactly two mains legs, got {len(channels)}")

@@ -430,6 +430,59 @@ def test_run_sweep_raises_as_a_serial_loop_and_leaves_no_thread_behind():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["scores", "errors"])
+def test_run_sweep_samples_every_row_before_it_waits_for_a_score(monkeypatch, fail):
+    # each row goes to the scorer as soon as it is sampled: the first row's score blocks
+    # until the grid's last sampler call, which a sweep that waits for it never reaches
+    class FirstRowError(Exception):
+        pass
+
+    rng = np.random.default_rng(1810)
+    trace = validate_trace(random_gappy_trace(rng, length=1500, gap_chance=0.004, max_gap=400))
+    segments = segment_trace(trace, max_gap=60)
+    assert len(segments) >= 3
+    th_grid = threshold_grid(trace_stats(trace), DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                             ThresholdSpec())
+    rows = [(sample_time_based, dt) for dt in DEFAULT_DT_GRID] + [
+        (sample_event_based, th) for _, _, th in th_grid]
+    expected = []
+    for sample, param in rows:
+        parts = [error_components(seg, reconstruct(sample(seg, param), seg)) for seg in segments]
+        expected.append(sum(n for n, _ in parts) / sum(d for _, d in parts))
+
+    last_sampled = threading.Event()
+    event_calls, set_at_first_score = [], []
+
+    def sample_event(segment, th, sample=evaluate.sample_event_based):
+        event_calls.append(th)
+        if len(event_calls) == len(th_grid) * len(segments):
+            last_sampled.set()
+            if fail:
+                raise ValueError("the last cell's sampler fails")
+        return sample(segment, th)
+
+    def score(segments, streams, score=evaluate._pooled_score):
+        if not set_at_first_score:
+            set_at_first_score.append(last_sampled.wait(timeout=2))
+            if fail:
+                raise FirstRowError
+        return score(segments, streams)
+
+    monkeypatch.setattr(evaluate, "sample_event_based", sample_event)
+    monkeypatch.setattr(evaluate, "_pooled_score", score)
+    threads = threading.active_count()
+    if fail:
+        with pytest.raises(FirstRowError):  # the first row's error, not the last cell's
+            run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                      ThresholdSpec(), max_gap=60)
+    else:
+        result = run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                           ThresholdSpec(), max_gap=60)
+        assert [row.nmae for row in result.time_based + result.event_based] == expected
+    assert set_at_first_score == [True]
+    assert threading.active_count() == threads
+
+
 def test_run_sweep_compression_reference_present_even_without_dt10():
     rng = np.random.default_rng(1808)
     samples = random_gappy_trace(rng, length=1500, gap_chance=0.004, max_gap=400)
