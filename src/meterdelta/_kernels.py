@@ -1,7 +1,7 @@
 """The compiled kernels of ``_kernels.c``: the send-on-delta scan, which writes each event
 stream whole (sampler), the held-error sum in np.sum's pairwise order (evaluate), the
-channel-file scan and the two-leg merge, which reads a leg through row indices or, for None,
-in file order (ingest), and last-value-wins (trace). ctypes drops the GIL for each call.
+channel-file scan and the two-leg merge, which reads each leg in file order plus the list of
+its displaced rows (ingest), and last-value-wins (trace). ctypes drops the GIL for each call.
 
 All five come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
@@ -56,8 +56,6 @@ def library() -> ctypes.CDLL:
     kernels = ctypes.CDLL(str(lib))
     column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
     f64, i64, rows = column(np.float64), column(np.int64), column(SAMPLE_DTYPE)
-    class order:  # row indices, or None for file order (a NULL pointer)
-        from_param = staticmethod(lambda obj: obj if obj is None else i64.from_param(obj))
     kernels.event_scan.argtypes = [i64, f64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                                    ctypes.c_uint64, i64, column(np.uint8), f64, f64]
     kernels.event_scan.restype = ctypes.c_int64
@@ -65,7 +63,8 @@ def library() -> ctypes.CDLL:
     kernels.scan_channel.restype = ctypes.c_int64
     kernels.held_error_sum.argtypes = [i64, f64, ctypes.c_int64, i64, f64]
     kernels.held_error_sum.restype = ctypes.c_double
-    kernels.merge_legs.argtypes = [rows, order, ctypes.c_int64, rows, order, ctypes.c_int64, rows]
+    leg = [rows, ctypes.c_int64, i64, ctypes.c_int64]  # rows, count, displaced rows, count
+    kernels.merge_legs.argtypes = [*leg, *leg, rows, i64]
     kernels.merge_legs.restype = ctypes.c_int64
     kernels.last_rows.argtypes = [rows, i64, ctypes.c_int64]
     kernels.last_rows.restype = ctypes.c_int64

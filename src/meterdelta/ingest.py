@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import library
 from .errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
-from .trace import SAMPLE_DTYPE, _as_samples, _check_powers, _last_value_wins, _sample_array
+from .trace import SAMPLE_DTYPE, _as_samples, _check_powers, _sample_array
 
 log = logging.getLogger(__name__)
 
@@ -179,14 +179,27 @@ def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> tuple
     return int(raw_t), power
 
 
+def _displaced_rows(leg: np.ndarray) -> np.ndarray:
+    """The indices of leg's rows at or below the largest timestamp before them, sorted
+    stably by timestamp and cut to the last row of each timestamp."""
+    ts = leg["timestamp"]
+    rows = np.flatnonzero(ts[1:] <= np.maximum.accumulate(ts[:-1]))
+    rows += 1
+    rows = rows[np.argsort(ts[rows], kind="stable")]  # keeps equal timestamps in file order
+    return rows[:library().last_rows(leg, rows, rows.size)]
+
+
 def combine_mains(channels: Sequence) -> np.ndarray:
     """Sum the two mains legs per timestamp, keeping only timestamps in both.
 
     A missing reading on either leg means the house total is unknown for
     that second; filling with zero would corrupt the peak statistics, so
     intersection semantics are deliberate (and logged). Within a leg,
-    duplicate timestamps keep the last value. A C kernel writes 0.0 + first
-    + second, exact and the same in either leg order. Any number of channels
+    duplicate timestamps keep the last value. A C kernel reads each leg in
+    file order and merges in its displaced rows (those at or below a
+    timestamp earlier in the file, few in a meter's file), so no full row
+    order of a leg is built. It writes 0.0 + first + second, exact and the
+    same in either leg order. Any number of channels
     but two raises ValueError. No power is checked: a negative reading in one
     leg can vanish in the sum (-5 W + 10 W gives 5 W, which validate_trace
     then accepts), so load_redd_house checks each leg before the sum.
@@ -194,12 +207,14 @@ def combine_mains(channels: Sequence) -> np.ndarray:
     if len(channels) != 2:
         raise ValueError(f"need exactly two mains legs, got {len(channels)}")
     legs = [np.ascontiguousarray(_as_samples(ch)) for ch in channels]  # C reads rows in place
-    orders = [_last_value_wins(leg) for leg in legs]
-    sizes = [leg.size if rows is None else rows.size for leg, rows in zip(legs, orders)]
-    (a, b), (ia, ib), (na, nb) = legs, orders, sizes
-    total = np.empty(min(na, nb), SAMPLE_DTYPE)
-    total = total[:library().merge_legs(a, ia, na, b, ib, nb, total)]
-    dropped = [size - total.size for size in sizes]
+    (a, b), (da, db) = legs, [_displaced_rows(leg) for leg in legs]
+    total, distinct = np.empty(min(a.size, b.size), SAMPLE_DTYPE), np.empty(2, np.int64)
+    rows = library().merge_legs(a, a.size, da, da.size, b, b.size, db, db.size, total, distinct)
+    total = total[:rows]
+    for leg, count in zip(legs, distinct):
+        if count < leg.size:
+            log.warning("collapsed %d duplicate timestamps (last value wins)", leg.size - count)
+    dropped = [int(count) - total.size for count in distinct]
     if any(dropped):
         log.warning("dropped %s samples per channel (timestamps not in every channel)", dropped)
     return total

@@ -226,6 +226,20 @@ def test_combine_logs_samples_lost_to_intersection(caplog):
     assert "dropped [2, 0] samples per channel" in caplog.text
 
 
+def test_combine_logs_each_legs_collapsed_rows_then_the_dropped_ones(caplog):
+    # leg 1 repeats 2 and 3 and swaps 2 with 1; leg 2 repeats 1 and swaps 1 with 0
+    legs = [[(0, 1.0), (2, 1.0), (1, 1.0), (2, 5.0), (3, 1.0), (3, 2.0)],
+            [(1, 1.0), (0, 1.0), (1, 2.0), (4, 1.0)]]
+    with caplog.at_level("WARNING"):
+        combined = combine_mains(legs)
+    assert combined.tolist() == [(0, 2.0), (1, 3.0)]
+    assert [record.getMessage() for record in caplog.records] == [
+        "collapsed 2 duplicate timestamps (last value wins)",
+        "collapsed 1 duplicate timestamps (last value wins)",
+        "dropped [2, 1] samples per channel (timestamps not in every channel)",
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -270,6 +284,16 @@ _LEG = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LEG, min_size=2, max_size=2))
 @example([[(0, -0.0)], [(0, -0.0)]])
+# an in-order row whose timestamp comes again later, which wins
+@example([[(0, 1.0), (1, 2.0), (0, 3.0), (1, 4.0)], [(1, 0.5), (0, 0.25)]])
+# repeats only among the displaced rows
+@example([[(5, 1.0), (2, 2.0), (3, 4.0), (2, 3.0), (2, 5.0)], [(2, 1.0), (3, 1.0), (5, 1.0)]])
+# the first row holds the leg's largest timestamp, so every later row is displaced
+@example([[(20, 1.0), (3, 2.0), (1, 3.0), (20, 4.0), (0, 5.0)], [(0, 1.0), (1, 1.0), (20, 1.0)]])
+@example([[(2**63 - 2, 1.0), (-(2**63), 2.0), (2**63 - 2, 3.0)],
+          [(-(2**63), 4.0), (2**63 - 2, 5.0), (-(2**63), 6.0)]])
+@example([[(7, 1.5)], [(7, 2.25)]])  # one-row legs
+@example([[(7, 1.5)], [(8, 2.25)]])
 def test_leg_sum_is_bit_identical_to_the_reference_routes(legs):
     per_second = [dict(leg) for leg in legs]
     common = sorted(set.intersection(*map(set, per_second)))
@@ -326,6 +350,28 @@ def test_combine_mains_holds_no_sorted_copy_of_a_leg():
     # the two legs' row orders (half a leg each) and the total: 2 x one leg;
     # a sorted copy of each leg besides would peak at 3.5 x one leg
     assert peak < 2.25 * legs[0].nbytes
+
+
+def test_combine_mains_holds_no_row_order_of_a_nearly_sorted_leg():
+    rng = np.random.default_rng(7)
+    legs = []
+    for _ in range(2):  # in order but for 20 swapped neighbours and 5 repeated timestamps
+        stamps = np.arange(100_000)
+        picked = rng.choice(np.arange(3, stamps.size - 1, 3), 25, replace=False)
+        swapped, repeated = picked[:20], picked[20:]
+        stamps[swapped], stamps[swapped + 1] = stamps[swapped + 1], stamps[swapped]
+        stamps[repeated] = stamps[repeated - 1]
+        legs.append(_sample_array(stamps, rng.random(stamps.size)))
+    combine_mains(legs)  # warm-up: nothing first-call-only is counted below
+    tracemalloc.start()
+    try:
+        combine_mains(legs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the total (one leg) and the few displaced rows; a full row order of each
+    # leg besides would peak at 2 x one leg
+    assert peak < 1.25 * legs[0].nbytes
 
 
 @pytest.fixture
