@@ -321,16 +321,3 @@ int64_t merge_legs(const sample *a, int64_t na, const int64_t *da, int64_t nda, 
     distinct[1] = gb.read;
     return rows;
 }
-
-/* Last value wins; see trace._last_value_wins. order holds the n rows of s
- * stably sorted by timestamp. Keeps, in place and in order, the last row of
- * each timestamp and returns how many rows it kept.
- */
-int64_t last_rows(const sample *s, int64_t *order, int64_t n)
-{
-    int64_t kept = 0;
-    for (int64_t k = 0; k < n; k++)
-        if (k + 1 == n || s[order[k]].timestamp != s[order[k + 1]].timestamp)
-            order[kept++] = order[k];
-    return kept;
-}

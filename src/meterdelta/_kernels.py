@@ -1,9 +1,9 @@
 """The compiled kernels of ``_kernels.c``: the send-on-delta scan, which writes each event
 stream whole (sampler), the held-error sum in np.sum's pairwise order (evaluate), the
 channel-file scan and the two-leg merge, which reads each leg in file order plus the list of
-its displaced rows (ingest), and last-value-wins (trace). ctypes drops the GIL for each call.
+its displaced rows (ingest). ctypes drops the GIL for each call.
 
-All five come from one shared library, built with cc at the first call of
+All four come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
@@ -66,6 +66,4 @@ def library() -> ctypes.CDLL:
     leg = [rows, ctypes.c_int64, i64, ctypes.c_int64]  # rows, count, displaced rows, count
     kernels.merge_legs.argtypes = [*leg, *leg, rows, i64]
     kernels.merge_legs.restype = ctypes.c_int64
-    kernels.last_rows.argtypes = [rows, i64, ctypes.c_int64]
-    kernels.last_rows.restype = ctypes.c_int64
     return kernels

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import library
 from .errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
-from .trace import SAMPLE_DTYPE, _as_samples, _check_powers, _sample_array
+from .trace import SAMPLE_DTYPE, _as_samples, _check_powers, _keep_last, _sample_array
 
 log = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def _displaced_rows(leg: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(ts[1:] <= np.maximum.accumulate(ts[:-1]))
     rows += 1
     rows = rows[np.argsort(ts[rows], kind="stable")]  # keeps equal timestamps in file order
-    return rows[:library().last_rows(leg, rows, rows.size)]
+    return _keep_last(ts, rows)
 
 
 def combine_mains(channels: Sequence) -> np.ndarray:

@@ -13,8 +13,8 @@ energies from the segment's cumulative sums, computed once per segment.
 
 The send-on-delta scan is a C kernel from ``_kernels`` that writes each event
 stream whole. The kernels are built with cc (never at import) at the first
-event sampling, sweep scoring, channel-file parse, mains combine or
-validation of unordered rows, and cached in $XDG_CACHE_HOME/meterdelta/.
+event sampling, sweep scoring, channel-file parse or mains combine, and
+cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 

@@ -166,17 +166,25 @@ def _sample_array(timestamps, powers) -> np.ndarray:
     return samples
 
 
+def _keep_last(ts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Of the row indices order, stably sorted by their timestamps ts[order], the last of
+    each timestamp (a meter overwriting its own reading), in order, as a fresh array."""
+    sorted_ts = ts[order]
+    last = np.ones(order.size, dtype=bool)  # the final row always stays
+    np.not_equal(sorted_ts[:-1], sorted_ts[1:], out=last[:-1])
+    del sorted_ts  # before the gather, which sets the peak
+    return order[last]
+
+
 def _last_value_wins(samples: np.ndarray) -> np.ndarray | None:
-    """The indices of samples' rows in timestamp order, keeping the last of equal timestamps
-    (a meter overwriting its own reading), or None when every row stays, in place."""
+    """The indices of samples' rows in timestamp order (their stable argsort, cut by _keep_last
+    to the last row of each timestamp), or None when every row stays, in place."""
     ts = samples["timestamp"]
     if (ts[1:] > ts[:-1]).all():  # strictly increasing: the stable sort is the identity
         return None
-    from ._kernels import library  # here, not at the top: _kernels imports this module
-    order = np.argsort(ts, kind="stable")  # keeps equal timestamps in input order
-    rows = order[:library().last_rows(np.ascontiguousarray(samples), order, order.size)]
-    if rows.size < order.size:
-        log.warning("collapsed %d duplicate timestamps (last value wins)", order.size - rows.size)
+    rows = _keep_last(ts, np.argsort(ts, kind="stable"))  # keeps equal timestamps in input order
+    if rows.size < ts.size:
+        log.warning("collapsed %d duplicate timestamps (last value wins)", ts.size - rows.size)
     return rows
 
 

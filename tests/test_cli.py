@@ -5,12 +5,15 @@ import io
 import json
 import logging
 import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meterdelta
 from meterdelta import segment_trace, validate_trace
 from meterdelta.cli import build_parser, main
 
@@ -64,6 +67,30 @@ def test_stats_csv_format(tmp_path, capsys):
     )
     assert code == 0
     assert "200.00" in capsys.readouterr().out
+
+
+def test_stats_on_unordered_csv_rows_needs_no_compiler(tmp_path):
+    # only parsing channel files, the mains merge, event sampling and sweep scoring build
+    # the C kernels; validating rows out of order with a repeated timestamp is numpy alone
+    data = tmp_path / "unordered.csv"
+    data.write_text("timestamp,power\n2,300\n0,100\n2,250\n1,200\n")
+    (tmp_path / "no_cc").mkdir()
+    (tmp_path / "empty_cache").mkdir()
+
+    def stats(env_update):
+        env = {**os.environ, "PYTHONPATH": str(Path(meterdelta.__file__).parents[1]), **env_update}
+        return subprocess.run([sys.executable, "-m", "meterdelta.cli", "stats", "--input",
+                               str(data), "--format", "csv"],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    without_cc = stats({"PATH": str(tmp_path / "no_cc"),
+                        "XDG_CACHE_HOME": str(tmp_path / "empty_cache")})
+    with_cc = stats({"XDG_CACHE_HOME": str(tmp_path / "cache")})
+    assert without_cc.returncode == with_cc.returncode == 0, without_cc.stderr
+    assert without_cc.stdout == with_cc.stdout
+    assert "\nunordered " in without_cc.stdout and " 250.00 " in without_cc.stdout
+    assert without_cc.stderr == with_cc.stderr
+    assert "collapsed 1 duplicate timestamps" in without_cc.stderr
 
 
 def test_stats_parse_error_exits_1(tmp_path, capsys):

@@ -247,6 +247,6 @@ def test_every_kernel_has_its_ctypes_signature_and_every_binding_its_kernel():
     binding = Path(_kernels.__file__).read_text()
     argtypes = set(re.findall(r"^ *kernels\.(\w+)\.argtypes = ", binding, re.M))
     restypes = set(re.findall(r"^ *kernels\.(\w+)\.restype = ", binding, re.M))
-    assert exported == {"event_scan", "held_error_sum", "scan_channel", "merge_legs", "last_rows"}
+    assert exported == {"event_scan", "held_error_sum", "scan_channel", "merge_legs"}
     assert argtypes == restypes == exported
     assert set(re.findall(r"\bkernels\.(\w+)", binding)) == exported

@@ -16,6 +16,7 @@ from meterdelta import (
     trace_stats,
     validate_trace,
 )
+from meterdelta import _kernels
 from meterdelta.errors import (
     DegenerateTraceError,
     EmptyInputError,
@@ -46,6 +47,15 @@ def test_validate_duplicates_keep_last(caplog):
         trace = validate_trace([(0, 100.0), (0, 200.0), (1, 100.0)])
     assert trace_samples(trace) == [(0, 200.0), (1, 100.0)]
     assert "duplicate" in caplog.text
+
+
+def test_validate_unordered_rows_without_the_compiled_kernels(monkeypatch):
+    def no_kernels():
+        raise AssertionError("validate_trace built or loaded the C kernels")
+
+    monkeypatch.setattr(_kernels, "library", no_kernels)
+    trace = validate_trace([(2, 300.0), (0, 100.0), (2, 250.0), (1, 200.0)])
+    assert trace_samples(trace) == [(0, 100.0), (1, 200.0), (2, 250.0)]
 
 
 def test_validate_duplicates_oracle_over_permutations():
