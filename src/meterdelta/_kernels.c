@@ -10,23 +10,23 @@
  * silence against the last row, in that priority (codes 1, 2, 3; each code
  * indexes sampler.TRIGGERS). silence == 0 disables the silence trigger; the
  * unsigned subtraction is exact for any increasing pair of int64 timestamps.
- * Writes the whole stream and returns its row count, at most n + 1: the
+ * The last row's power, which no column keeps, is held in ref. Writes the
+ * stream's three columns whole and returns its row count, at most n + 1: the
  * baseline, each fired reading and the final flush at ts[n - 1] + 1 <= 2**63 - 1.
  */
 int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
                    double e_ws, uint64_t silence, int64_t *stamp, uint8_t *code,
-                   double *energy, double *power)
+                   double *energy)
 {
     int64_t rows = 1;
-    double acc = 0.0;
+    double acc = 0.0, ref = pw[0];
     stamp[0] = ts[0];
     code[0] = 0;
     energy[0] = 0.0;
-    power[0] = pw[0];
     for (int64_t i = 1; i < n; i++) {
         uint8_t fired;
         acc += pw[i - 1];
-        if (fabs(pw[i] - power[rows - 1]) >= dp)
+        if (fabs(pw[i] - ref) >= dp)
             fired = 1;
         else if (acc >= e_ws)
             fired = 2;
@@ -36,14 +36,13 @@ int64_t event_scan(const int64_t *ts, const double *pw, int64_t n, double dp,
             continue;
         stamp[rows] = ts[i];
         code[rows] = fired;
-        energy[rows] = acc;
-        power[rows++] = pw[i];
+        energy[rows++] = acc;
+        ref = pw[i];
         acc = 0.0;
     }
     stamp[rows] = ts[n - 1] + 1;
     code[rows] = 5;
     energy[rows] = acc + pw[n - 1];
-    power[rows] = pw[n - 1];
     return rows + 1;
 }
 

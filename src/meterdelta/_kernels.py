@@ -1,7 +1,7 @@
-"""The compiled kernels of ``_kernels.c``: the send-on-delta scan, which writes each event
-stream whole (sampler), the held-error sum in np.sum's pairwise order (evaluate), the
-channel-file scan and the two-leg merge, which reads each leg in file order plus the list of
-its displaced rows (ingest). ctypes drops the GIL for each call.
+"""The compiled kernels of ``_kernels.c``: the send-on-delta scan, which writes an event
+stream's three columns whole (sampler), the held-error sum in np.sum's pairwise order
+(evaluate), the channel-file scan and the two-leg merge, which reads each leg in file
+order plus the list of its displaced rows (ingest). ctypes drops the GIL for each call.
 
 All four come from one shared library, built with cc at the first call of
 ``library()`` (never at import) and cached in $XDG_CACHE_HOME/meterdelta/.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import platform
 import threading
 import zlib
 from pathlib import Path
@@ -32,7 +31,7 @@ def library() -> ctypes.CDLL:
     holds a build of the same source, flags and machine type. Raises
     MeterDeltaError when the build cannot run or fails."""
     # crc32, not hashlib: OpenSSL would add 3.4 MB to a channel file's peak memory
-    key = zlib.crc32(SOURCE.read_bytes() + repr((_CFLAGS, platform.machine())).encode())
+    key = zlib.crc32(SOURCE.read_bytes() + repr((_CFLAGS, os.uname().machine)).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "meterdelta"
     lib = cache / f"kernels-{key:08x}.so"
     if not lib.exists():
@@ -57,7 +56,7 @@ def library() -> ctypes.CDLL:
     column = functools.partial(np.ctypeslib.ndpointer, ndim=1, flags="C_CONTIGUOUS")
     f64, i64, rows = column(np.float64), column(np.int64), column(SAMPLE_DTYPE)
     kernels.event_scan.argtypes = [i64, f64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                                   ctypes.c_uint64, i64, column(np.uint8), f64, f64]
+                                   ctypes.c_uint64, i64, column(np.uint8), f64]
     kernels.event_scan.restype = ctypes.c_int64
     kernels.scan_channel.argtypes = [ctypes.c_char_p, ctypes.c_int64, rows, ctypes.c_int64]
     kernels.scan_channel.restype = ctypes.c_int64

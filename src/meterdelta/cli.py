@@ -33,7 +33,7 @@ from pathlib import Path
 from .errors import MeterDeltaError
 from .evaluate import DEFAULT_DT_GRID, SweepResult, run_sweep
 from .ingest import MAINS_MODES, load_csv, load_redd_channel, load_redd_house
-from .sampler import TRIGGERS, sample_event_based, sample_time_based
+from .sampler import TRIGGERS, _powers_at, sample_event_based, sample_time_based
 from .thresholds import (DEFAULT_PERCENT_GRID, POWER_BASES, ROUNDING_MODES, Thresholds, ThresholdSpec,
                          derive_thresholds)
 from .trace import (SECONDS_PER_HOUR, PowerTrace, TraceStats, first_difference_distribution,
@@ -220,10 +220,10 @@ def cmd_sample(args) -> int:
         elif param is None:  # no threshold given: derive both from this trace, like one sweep cell
             th = derive_thresholds(trace_stats(trace), args.p_percent[0], args.e_percent[0], args.spec)
             param = Thresholds(th.power_delta_w, th.energy_wh, args.max_silence)
-        streams = [sample(seg, param) for seg in segment_trace(trace, args.max_gap)]
         lines = ["timestamp,trigger,energy_wh,power_w"]
-        for s in streams:
-            columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, s.power_w)
+        for seg in segment_trace(trace, args.max_gap):
+            s = sample(seg, param)
+            columns = (s.timestamps, s.triggers, s.energy_ws / SECONDS_PER_HOUR, _powers_at(seg, s.timestamps))
             lines += [f"{t},{TRIGGERS[code]},{e_wh:.6f},{p:.2f}"
                       for t, code, e_wh, p in zip(*(c.tolist() for c in columns))]
         _emit("\n".join(lines) + "\n", args.out, f"{trace_id}_readings.csv")

@@ -1,6 +1,8 @@
 """Metering strategies: periodic window averaging and send-on-delta events.
 
-Both strategies turn a segment (a PowerTrace) into a ReadingStream.
+Both strategies turn a segment (a PowerTrace) into a ReadingStream, which
+holds only what the receiver reads: each reading's time, trigger and energy.
+A reading's power is the segment's sample at or before it (``_powers_at``).
 Streams open with a zero-energy "initial" reading at the segment start (the
 receiver's baseline, not a transmitted message) and close at the segment's
 exclusive end, so the energies of any stream always sum to the segment's
@@ -11,10 +13,10 @@ which keeps window sums and reconstruction exact. Divide by
 SECONDS_PER_HOUR at presentation boundaries. Periodic windows take their
 energies from the segment's cumulative sums, computed once per segment.
 
-The send-on-delta scan is a C kernel from ``_kernels`` that writes each event
-stream whole. The kernels are built with cc (never at import) at the first
-event sampling, sweep scoring, channel-file parse or mains combine, and
-cached in $XDG_CACHE_HOME/meterdelta/.
+The send-on-delta scan is a C kernel from ``_kernels`` that writes an event
+stream's three columns whole. The kernels are built with cc (never at import)
+at the first event sampling, sweep scoring, channel-file parse or mains
+combine, and cached in $XDG_CACHE_HOME/meterdelta/.
 """
 from __future__ import annotations
 
@@ -37,21 +39,18 @@ class ReadingStream:
 
     Reading i was sent at timestamps[i] because of TRIGGERS[triggers[i]].
     energy_ws[i] is the energy accumulated since reading i - 1 (zero for the
-    initial baseline); power_w[i] is the instantaneous power at that time
-    under the left-hold convention. The first and last timestamps are the
-    segment's start and exclusive end. As in a PowerTrace, the columns are
-    non-empty, equal-length 1-d arrays, frozen, each copied first if its
-    caller could still write it.
+    initial baseline). The first and last timestamps are the segment's start
+    and exclusive end. As in a PowerTrace, the columns are non-empty,
+    equal-length 1-d arrays, frozen, each copied first if its caller could
+    still write it.
     """
 
     timestamps: np.ndarray
     triggers: np.ndarray
     energy_ws: np.ndarray
-    power_w: np.ndarray
 
     def __post_init__(self):
-        _set_columns(self, timestamps=np.int64, triggers=np.uint8, energy_ws=np.float64,
-                     power_w=np.float64)
+        _set_columns(self, timestamps=np.int64, triggers=np.uint8, energy_ws=np.float64)
 
 
 def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
@@ -65,23 +64,19 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     if not 1 <= delta_t < math.inf or delta_t != int(delta_t):  # nan and inf fail before int()
         raise ValueError("delta_t must be an integer >= 1")
     delta_t = int(delta_t)
-    ts, pw = segment.timestamps, segment.powers
     start, end = segment.start, segment.end
     full, partial = divmod(segment.duration, delta_t)
     # edges start + delta_t * k in wrapping uint64: exact, as each edge fits int64
     offsets = np.arange(1, full + 1, dtype=np.uint64) * np.uint64(min(delta_t, segment.duration))
     edges = (offsets + np.uint64(start % 2**64)).view(np.int64)
     stamps = np.concatenate(([start], edges, np.array([end] if partial else [], np.int64)))
-    bounds = np.searchsorted(ts, stamps)
+    bounds = np.searchsorted(segment.timestamps, stamps)
     # cumulative-sum differences telescope, so the stream conserves energy
     # exactly even when individual windows are empty
     energies = np.concatenate(([0.0], np.diff(segment._cumulative_ws[bounds])))
-    # the sample at each stamp, else the one before it; clipped, as only the end
-    # stamp has no sample at or after it
-    powers_at = pw[bounds - (ts.take(bounds, mode="clip") != stamps)]
     triggers = np.where(np.arange(len(stamps)) > full, FINAL, WINDOW)
     triggers[0] = INITIAL
-    return ReadingStream(stamps, triggers, energies, powers_at)
+    return ReadingStream(stamps, triggers, energies)
 
 
 def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
@@ -105,10 +100,16 @@ def sample_event_based(segment: PowerTrace, th: Thresholds) -> ReadingStream:
     silence, n = th.max_silence_s, len(ts)
     # 0 turns silence off; a period past the span never fires, so huge ones never reach ctypes
     enabled = silence is not None and silence <= int(ts[-1]) - int(ts[0])
-    columns = np.empty(n + 1, np.int64), np.empty(n + 1, np.uint8), np.empty(n + 1), np.empty(n + 1)
+    columns = np.empty(n + 1, np.int64), np.empty(n + 1, np.uint8), np.empty(n + 1)
     rows = library().event_scan(ts, pw, n, th.power_delta_w, th.energy_wh * SECONDS_PER_HOUR,
                                 math.ceil(silence) if enabled else 0, *columns)
     return ReadingStream(*(column[:rows] for column in columns))  # copies only the rows written
+
+
+def _powers_at(segment: PowerTrace, stamps: np.ndarray) -> np.ndarray:
+    """The segment's power at each stamp from its start to its exclusive end:
+    the sample at or before it, under the left-hold convention."""
+    return segment.powers[np.searchsorted(segment.timestamps, stamps, side="right") - 1]
 
 
 def message_count(stream: ReadingStream) -> int:

@@ -119,7 +119,7 @@ def python_event_readings(segment, th):
     energy_ws = th.energy_wh * SECONDS_PER_HOUR  # inf stays inf
     silence = th.max_silence_s
 
-    stamps, triggers, energies, powers = [start], [INITIAL], [0.0], [pw[0]]
+    stamps, triggers, energies = [start], [INITIAL], [0.0]
     t_last, p_ref, acc = start, pw[0], 0.0
     for i in range(1, len(ts)):
         t = ts[i]
@@ -136,14 +136,12 @@ def python_event_readings(segment, th):
         stamps.append(t)
         triggers.append(trigger)
         energies.append(acc)
-        powers.append(p)
         t_last, p_ref, acc = t, p, 0.0
     acc += pw[-1]
     stamps.append(end)
     triggers.append(FINAL)
     energies.append(acc)
-    powers.append(pw[-1])
-    return ReadingStream(stamps, triggers, energies, powers)
+    return ReadingStream(stamps, triggers, energies)
 
 
 def indexed_held_powers(stream, segment):
@@ -202,18 +200,19 @@ def brute_force_time_readings(timestamps, powers, delta_t):
     return readings
 
 
-def stream_tuples(stream):
-    """Flatten a ReadingStream's columns into (timestamp, trigger,
-    energy_ws, power_w) tuples for comparison against oracle output."""
+def stream_tuples(stream, segment):
+    """Flatten a ReadingStream sampled from segment into (timestamp, trigger,
+    energy_ws, power_w) tuples for comparison against oracle output, each
+    reading's power derived from the segment as `meterdelta sample` writes it."""
     # imported here so that the generators above need only numpy
-    from meterdelta.sampler import TRIGGERS
+    from meterdelta.sampler import TRIGGERS, _powers_at
 
     return list(
         zip(
             stream.timestamps.tolist(),
             [TRIGGERS[code] for code in stream.triggers.tolist()],
             stream.energy_ws.tolist(),
-            stream.power_w.tolist(),
+            _powers_at(segment, stream.timestamps).tolist(),
         )
     )
 
@@ -234,8 +233,7 @@ def closed_form_time_readings(segment, delta_t):
     triggers = [INITIAL] + [WINDOW] * windows
     if (end - start) % delta_t:
         triggers[-1] = FINAL
-    held = segment.powers[np.searchsorted(segment.timestamps, stamps, side="right") - 1]
-    return ReadingStream(stamps, triggers, energies, held)
+    return ReadingStream(stamps, triggers, energies)
 
 
 def reference_sweep(house_dir, dt_list, p_list, e_list, spec, max_gap):

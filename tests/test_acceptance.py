@@ -87,7 +87,7 @@ def test_criterion_1_oracle_equivalence():
         expected = brute_force_event_readings(
             [t for t, _ in samples], [p for _, p in samples], dp, e_wh, silence
         )
-        assert stream_tuples(stream) == expected, f"trace {i} diverged"
+        assert stream_tuples(stream, seg) == expected, f"trace {i} diverged"
     _ok(1, "100/100 randomized traces, exact reading-for-reading match")
 
 
@@ -189,9 +189,9 @@ def test_criterion_6_threshold_monotonicity_and_degenerate_limits():
     for _ in range(10):
         seg = one_segment(random_step_trace(rng, length=500))
         no_power = sample_event_based(seg, Thresholds(math.inf, 15.0, max_silence_s=120))
-        assert "power_delta" not in {trig for _, trig, _, _ in stream_tuples(no_power)}
+        assert "power_delta" not in {trig for _, trig, _, _ in stream_tuples(no_power, seg)}
         no_energy = sample_event_based(seg, Thresholds(120.0, math.inf, max_silence_s=120))
-        assert "energy" not in {trig for _, trig, _, _ in stream_tuples(no_energy)}
+        assert "energy" not in {trig for _, trig, _, _ in stream_tuples(no_energy, seg)}
     _ok(6, "strictly increasing thresholds; infinite limits never fire their trigger")
 
 

@@ -74,15 +74,13 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     # uncovered, readings that stop short leave its last ones uncovered, and
     # readings from a longer segment with the same start run past its end
     full = sample_time_based(segment_a, 2)
-    late = ReadingStream(full.timestamps[1:], full.triggers[1:], full.energy_ws[1:],
-                         full.power_w[1:])
-    early = ReadingStream(full.timestamps[:-1], full.triggers[:-1], full.energy_ws[:-1],
-                          full.power_w[:-1])
+    late = ReadingStream(full.timestamps[1:], full.triggers[1:], full.energy_ws[1:])
+    early = ReadingStream(full.timestamps[:-1], full.triggers[:-1], full.energy_ws[:-1])
     longer = one_segment(trace_samples(segment_a) + [(segment_a.end, 50.0)])
     assert longer.start == segment_a.start and longer.end > segment_a.end
     # readings out of order span the segment, yet their intervals overlap
     backwards = ReadingStream([0, 6, 3, 10], [INITIAL, WINDOW, WINDOW, FINAL],
-                              [0.0, 600.0, 300.0, 900.0], [100.0] * 4)
+                              [0.0, 600.0, 300.0, 900.0])
     for stream in (late, early, sample_time_based(longer, 2), backwards):
         with pytest.raises(MismatchedSegmentError):
             reconstruct(stream, segment_a)
@@ -91,12 +89,12 @@ def test_reconstruct_rejects_foreign_segment(segment_a, constant_segment):
     # the scoring kernel reads the energies as one per reading interval, from
     # 1-d columns, and an empty stream has no segment start to tile from
     with pytest.raises(ValueError, match="equal-length"):
-        ReadingStream(full.timestamps, full.triggers, full.energy_ws[:2], full.power_w)
-    columns = (full.timestamps, full.triggers, full.energy_ws, full.power_w)
+        ReadingStream(full.timestamps, full.triggers, full.energy_ws[:2])
+    columns = (full.timestamps, full.triggers, full.energy_ws)
     with pytest.raises(ValueError, match="equal-length"):
         ReadingStream(*(np.stack([column, column]) for column in columns))
     with pytest.raises(ValueError, match="at least one"):
-        ReadingStream([], [], [], [])
+        ReadingStream([], [], [])
 
 
 def scoring_cases():

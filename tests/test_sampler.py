@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meterdelta import (
     PowerTrace,
@@ -12,7 +15,7 @@ from meterdelta import (
     segment_trace,
     validate_trace,
 )
-from meterdelta.sampler import TRIGGERS
+from meterdelta.sampler import TRIGGERS, _powers_at
 from oracles import (
     brute_force_event_readings,
     brute_force_time_readings,
@@ -29,7 +32,7 @@ def one_segment(samples):
 
 def test_time_based_trace_a_dt2(segment_a):
     stream = sample_time_based(segment_a, 2)
-    assert stream_tuples(stream) == [
+    assert stream_tuples(stream, segment_a) == [
         (0, "initial", 0.0, 100.0),
         (2, "window", 200.0, 100.0),
         (4, "window", 600.0, 500.0),
@@ -48,13 +51,13 @@ def test_time_based_dt1_reproduces_samples(segment_a):
 
 def test_time_based_dt10_single_window(segment_a):
     stream = sample_time_based(segment_a, 10)
-    assert stream_tuples(stream)[1:] == [(10, "window", 1800.0, 100.0)]
+    assert stream_tuples(stream, segment_a)[1:] == [(10, "window", 1800.0, 100.0)]
     assert message_count(stream) == 1
 
 
 def test_time_based_partial_window_is_final(segment_a):
     stream = sample_time_based(segment_a, 3)
-    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)[1:]] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream, segment_a)[1:]] == [
         (3, "window", 300.0),
         (6, "window", 1100.0),
         (9, "window", 300.0),
@@ -64,15 +67,16 @@ def test_time_based_partial_window_is_final(segment_a):
 
 def test_time_based_dt_longer_than_segment(segment_a):
     stream = sample_time_based(segment_a, 60)
-    assert stream_tuples(stream)[1:] == [(10, "final", 1800.0, 100.0)]
+    assert stream_tuples(stream, segment_a)[1:] == [(10, "final", 1800.0, 100.0)]
 
 
 def test_time_based_huge_dt_equals_one_window_past_the_end():
     segment = one_segment(random_gappy_trace(np.random.default_rng(7), length=300))
     huge = sample_time_based(segment, 10**20)  # past the int64 range
     one_window = sample_time_based(segment, segment.duration + 1)
-    for column in ("timestamps", "triggers", "energy_ws", "power_w"):
+    for column in ("timestamps", "triggers", "energy_ws"):
         assert np.array_equal(getattr(huge, column), getattr(one_window, column))
+    assert stream_tuples(huge, segment) == stream_tuples(one_window, segment)
     assert [TRIGGERS[c] for c in huge.triggers] == ["initial", "final"]
 
 
@@ -82,10 +86,12 @@ def test_time_based_windows_at_the_int64_edges():
     bottom = [(-(2**63), 100.0), (-(2**63) + 6, 200.0)]
     for samples in (top, bottom):
         ts, pw = [t for t, _ in samples], [p for _, p in samples]
+        seg = one_segment(samples)
         for dt in (1, 5, 7, 8, 10**20):
-            stream = sample_time_based(one_segment(samples), dt)
-            assert stream_tuples(stream) == brute_force_time_readings(ts, pw, min(dt, 8))
-    assert stream_tuples(sample_time_based(one_segment(top), 5)) == [
+            assert stream_tuples(sample_time_based(seg, dt), seg) == brute_force_time_readings(
+                ts, pw, min(dt, 8))
+    seg = one_segment(top)
+    assert stream_tuples(sample_time_based(seg, 5), seg) == [
         (2**63 - 8, "initial", 0.0, 100.0),
         (2**63 - 3, "window", 100.0, 100.0),
         (2**63 - 1, "final", 200.0, 200.0),
@@ -116,7 +122,7 @@ def test_time_based_matches_window_sum_oracle():
         ts = [t for t, _ in samples]
         pw = [p for _, p in samples]
         for dt in (1, 2, 3, 7, 10, 50, 199, 200, 500):
-            assert stream_tuples(sample_time_based(seg, dt)) == brute_force_time_readings(
+            assert stream_tuples(sample_time_based(seg, dt), seg) == brute_force_time_readings(
                 ts, pw, dt
             )
 
@@ -129,14 +135,14 @@ def test_time_based_oracle_on_gappy_segments():
         ts = [t for t, _ in samples]
         pw = [p for _, p in samples]
         for dt in (1, 4, 17, 60):
-            assert stream_tuples(sample_time_based(seg, dt)) == brute_force_time_readings(
+            assert stream_tuples(sample_time_based(seg, dt), seg) == brute_force_time_readings(
                 ts, pw, dt
             )
 
 
 def test_event_trace_a_power_triggers(segment_a):
     stream = sample_event_based(segment_a, Thresholds(300.0, math.inf))
-    assert stream_tuples(stream) == [
+    assert stream_tuples(stream, segment_a) == [
         (0, "initial", 0.0, 100.0),
         (3, "power_delta", 300.0, 500.0),
         (5, "power_delta", 1000.0, 100.0),
@@ -150,7 +156,7 @@ def test_event_energy_triggers(constant_segment):
     # 250 Ws expressed in Wh; each reading fires once 300 Ws accumulate
     th = Thresholds(math.inf, 250.0 / 3600.0)
     stream = sample_event_based(constant_segment, th)
-    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream, constant_segment)] == [
         (0, "initial", 0.0),
         (3, "energy", 300.0),
         (6, "energy", 300.0),
@@ -170,7 +176,7 @@ def test_event_silence_trigger():
     seg = one_segment([(t, 100.0) for t in range(20)])
     th = Thresholds(math.inf, math.inf, max_silence_s=5)
     stream = sample_event_based(seg, th)
-    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream)] == [
+    assert [(t, trig, e) for t, trig, e, _ in stream_tuples(stream, seg)] == [
         (0, "initial", 0.0),
         (5, "silence", 500.0),
         (10, "silence", 500.0),
@@ -185,7 +191,7 @@ def test_event_silence_measured_on_wall_clock_across_gap():
     stream = sample_event_based(seg, th)
     # first present sample past the deadline is t=50; energy is the 5
     # present seconds held since the initial reading
-    assert (50, "silence", 500.0, 100.0) in stream_tuples(stream)
+    assert (50, "silence", 500.0, 100.0) in stream_tuples(stream, seg)
 
 
 def test_event_power_delta_has_priority_over_energy():
@@ -207,7 +213,7 @@ def test_event_matches_brute_force_oracle():
         expected = brute_force_event_readings(
             [t for t, _ in samples], [p for _, p in samples], dp, e_wh, silence
         )
-        assert stream_tuples(stream) == expected
+        assert stream_tuples(stream, seg) == expected
 
 
 def test_event_oracle_on_gappy_segments():
@@ -220,7 +226,7 @@ def test_event_oracle_on_gappy_segments():
         expected = brute_force_event_readings(
             [t for t, _ in samples], [p for _, p in samples], dp, e_wh, silence
         )
-        assert stream_tuples(stream) == expected
+        assert stream_tuples(stream, seg) == expected
 
 
 def test_infinite_power_delta_never_fires_power_trigger():
@@ -277,8 +283,8 @@ def test_readings_strictly_increasing_in_time():
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert TRIGGERS[stream.triggers[0]] == "initial"
         assert TRIGGERS[stream.triggers[-1]] in ("final", "window")
-        columns = (stream.timestamps, stream.triggers, stream.energy_ws, stream.power_w)
-        assert [c.dtype for c in columns] == [np.int64, np.uint8, np.float64, np.float64]
+        columns = [getattr(stream, f.name) for f in fields(stream)]  # every field: these three
+        assert [c.dtype for c in columns] == [np.int64, np.uint8, np.float64]
         assert not any(c.flags.writeable for c in columns)
 
 
@@ -289,3 +295,23 @@ def test_single_sample_segment_flushes_its_energy():
         assert stream.timestamps[-1] == 6
         assert stream.energy_ws.sum() == 100.0
         assert message_count(stream) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 60, 300]))
+def test_reading_power_is_the_last_sample_at_or_before_it(seed, length):
+    rng = np.random.default_rng(seed)
+    samples = random_gappy_trace(rng, length=length, gap_chance=0.2, max_gap=30)
+    seg = one_segment(samples)
+    value_at = dict(samples)
+
+    def last_at_or_before(t):
+        while t not in value_at:
+            t -= 1
+        return value_at[t]
+
+    streams = (sample_time_based(seg, int(rng.integers(1, 100))),
+               sample_event_based(seg, Thresholds(*random_thresholds(rng))))
+    drawn = rng.integers(seg.start, seg.end, size=50, endpoint=True)  # the exclusive end too
+    for stamps in (drawn, *(s.timestamps for s in streams)):
+        assert _powers_at(seg, stamps).tolist() == [last_at_or_before(t) for t in stamps.tolist()]

@@ -212,11 +212,11 @@ def test_power_trace_copies_only_the_columns_a_caller_can_still_write():
     locked.setflags(write=False)  # still writable through its base
     for powers in (base[:], locked):
         trace = PowerTrace(ts, powers)
-        stream = ReadingStream(ts, [0, 4, 5], powers, powers)  # a reading stream keeps the same rule
+        stream = ReadingStream(ts, [0, 4, 5], powers)  # a reading stream keeps the same rule
         assert trace.total_energy_ws == 6.0
         ts[0], base[0] = -1, 100.0  # the caller's own arrays stay writable
         for timestamps, *columns in ((trace.timestamps, trace.powers),
-                                     (stream.timestamps, stream.energy_ws, stream.power_w)):
+                                     (stream.timestamps, stream.energy_ws)):
             assert timestamps.tolist() == [0, 1, 2]
             assert all(column.tolist() == [1.0, 2.0, 3.0] for column in columns)
         ts[0], base[0] = 0, 1.0
