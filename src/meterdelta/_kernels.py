@@ -22,7 +22,7 @@ from .trace import SAMPLE_DTYPE
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 # no -ffast-math and no FMA contraction: results must round like the Python loop
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @functools.cache

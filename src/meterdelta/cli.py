@@ -16,6 +16,11 @@ report is written); 2 settings error (any other ValueError, such as a flag
 that the --format or the sample strategy does not read, more than one
 percentage, a threshold not positive or a --max-silence below 1 for sample,
 a NaN percentage, inf in both grids, or two inputs with one trace id).
+
+Each command flushes stdout itself, so a write that fails (a closed pipe, a
+full disk) is an OSError and exits 1. main(argv) returns the exit code;
+run_and_exit, which `python -m meterdelta.cli` and the `meterdelta` script
+call, then ends the process without interpreter finalization.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ import os
 import sys
 from operator import attrgetter
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import MeterDeltaError
 from .evaluate import DEFAULT_DT_GRID, SweepResult, run_sweep
@@ -180,6 +186,7 @@ def _emit(text: str, out: Path | None = None, name: str = "") -> None:
             sys.stdout.buffer.write(data)
         else:  # a text stream, such as a caller's io.StringIO
             sys.stdout.write(text)
+        sys.stdout.flush()  # here, so that a write that fails is the command's OSError: exit 1
         return
     out.mkdir(parents=True, exist_ok=True)
     tmp = out / f".{name}.{os.getpid()}.tmp"
@@ -331,5 +338,19 @@ def main(argv=None) -> int:
         log.setLevel(saved[2])
 
 
+def run_and_exit() -> NoReturn:
+    """Run main() on sys.argv and end the process with its code, without interpreter
+    finalization (module teardown, the final garbage collection, atexit hooks): by then
+    _emit has flushed stdout and written each file whole, and run_sweep has joined its thread."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None in a process started with the descriptor closed
+            try:
+                stream.flush()
+            except OSError:  # output that failed to go out has already failed main
+                code = code or 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

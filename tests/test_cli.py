@@ -69,6 +69,13 @@ def test_stats_csv_format(tmp_path, capsys):
     assert "200.00" in capsys.readouterr().out
 
 
+def _cli_process(args, env_update=None, **run_args):
+    """`python -m meterdelta.cli args` with stdout block-buffered, as a shell pipe or file gives it."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(meterdelta.__file__).parents[1]), **(env_update or {}))
+    return subprocess.run([sys.executable, "-m", "meterdelta.cli", *args], env=env, timeout=60, **run_args)
+
+
 def test_stats_on_unordered_csv_rows_needs_no_compiler(tmp_path):
     # only parsing channel files, the mains merge, event sampling and sweep scoring build
     # the C kernels; validating rows out of order with a repeated timestamp is numpy alone
@@ -78,10 +85,8 @@ def test_stats_on_unordered_csv_rows_needs_no_compiler(tmp_path):
     (tmp_path / "empty_cache").mkdir()
 
     def stats(env_update):
-        env = {**os.environ, "PYTHONPATH": str(Path(meterdelta.__file__).parents[1]), **env_update}
-        return subprocess.run([sys.executable, "-m", "meterdelta.cli", "stats", "--input",
-                               str(data), "--format", "csv"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        return _cli_process(["stats", "--input", str(data), "--format", "csv"], env_update,
+                            capture_output=True, text=True)
 
     without_cc = stats({"PATH": str(tmp_path / "no_cc"),
                         "XDG_CACHE_HOME": str(tmp_path / "empty_cache")})
@@ -170,6 +175,74 @@ def test_stdout_may_be_a_text_stream(trace_a_file, capsys):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         assert main(["stats", "--input", str(trace_a_file)]) == 0
     assert stdout.getvalue() == expected and expected.startswith("trace ")
+
+
+@pytest.fixture
+def noisy_house(tmp_path):
+    """A two-leg house over 6000 s whose legs each miss some seconds and repeat others."""
+    rng = np.random.default_rng(1834)
+    house = tmp_path / "house"
+    house.mkdir()
+    for n in (1, 2):
+        stamps = [t for t in range(6000) if rng.random() > 0.01]
+        stamps += rng.choice(stamps, 20).tolist()
+        house.joinpath(f"channel_{n}.dat").write_text(
+            "".join(f"{t} {rng.uniform(0, 3000):.2f}\n" for t in sorted(stamps)))
+    return house
+
+
+@pytest.mark.parametrize("command, min_stdout", [
+    (["stats"], 1),
+    (["sample", "--strategy", "time", "--delta-t", "1"], 64 * 1024 + 1),  # past a pipe's buffer
+    (["sweep", "--max-gap", "60"], 0),
+], ids=["stats", "sample", "sweep"])
+def test_the_cli_process_ends_with_every_output_out(noisy_house, tmp_path, capsysbinary,
+                                                   command, min_stdout):
+    # the process ends without interpreter finalization, so no output may wait for it
+    def args(side):
+        return [*command, "--input", str(noisy_house), *(["--out", str(tmp_path / side)]
+                                                        if command[0] == "sweep" else [])]
+
+    assert main(args("main")) == 0
+    expected = capsysbinary.readouterr()
+    done = _cli_process(args("process"), capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected.out, expected.err)
+    assert len(done.stdout) >= min_stdout
+    assert b"collapsed" in done.stderr and b"dropped" in done.stderr
+    files = [{p.name: p.read_bytes() for p in (tmp_path / side).glob("*")} for side in ("main", "process")]
+    assert files[0] == files[1]
+    assert len(files[0]) == (2 if command[0] == "sweep" else 0)
+
+
+def test_the_cli_process_keeps_its_exit_codes(trace_a_file, tmp_path):
+    for args, code, message in (
+        (["stats", "--input", str(tmp_path / "nope.dat")], 1, "error: "),
+        (["sweep", "--input", str(trace_a_file)], 2, "error: sweep needs --out"),  # main returns it
+        (["stats", "--input", str(trace_a_file), "--bogus"], 2, "unrecognized arguments"),  # argparse exits
+    ):
+        done = _cli_process(args, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert message in done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_sweep_runs_with_stdout_closed(trace_a_file, tmp_path):
+    # sys.stdout is None in such a process: a sweep writes nothing there and exits 0
+    done = _cli_process(["sweep", "--input", str(trace_a_file), "--out", str(tmp_path / "out")],
+                        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["trace_a_sweep.csv", "trace_a_sweep.json"]
+
+
+def test_a_stdout_that_takes_no_output_exits_1(trace_a_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        done = _cli_process(["stats", "--input", str(trace_a_file)], stdout=write_end,
+                            stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Exception ignored" not in done.stderr
 
 
 def test_empty_delimiter_exits_2(tmp_path, capsys):

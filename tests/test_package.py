@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import meterdelta
+from meterdelta import cli
 from meterdelta.cli import build_parser
 
 
@@ -50,3 +51,12 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert meterdelta.__version__ == tomllib.loads(pyproject)["project"]["version"]
+
+
+def test_console_script_ends_the_process_as_python_m_does():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, _, name = tomllib.loads(pyproject)["project"]["scripts"]["meterdelta"].partition(":")
+    assert module == "meterdelta.cli"
+    # main returns its exit code to an in-process caller; the script's target ends the process
+    assert callable(getattr(cli, name)) and getattr(cli, name) is not cli.main
