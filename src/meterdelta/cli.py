@@ -181,6 +181,8 @@ def _emit(text: str, out: Path | None = None, name: str = "") -> None:
     """Write text as UTF-8 to stdout, or to out/name atomically via a temporary file."""
     data = text.encode("utf-8", "surrogateescape")  # a non-UTF-8 trace id keeps its bytes
     if out is None:
+        if sys.stdout is None:  # a process started with descriptor 1 closed
+            raise OSError("stdout is closed")
         sys.stdout.flush()  # what was written before goes first
         if hasattr(sys.stdout, "buffer"):
             sys.stdout.buffer.write(data)

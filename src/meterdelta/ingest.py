@@ -14,11 +14,9 @@ always go through the Python line parsers, which alone report errors.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import logging
 import math
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -154,29 +152,29 @@ def load_csv(
     t_idx = names.index(timestamp_col)
     p_idx = names.index(power_col)
 
-    parse = functools.partial(_parse_csv_row, t_idx=t_idx, p_idx=p_idx)
+    from decimal import Decimal, InvalidOperation  # CSV timestamps alone need it: 1 ms of import
+
+    def parse(row_no: int, row: list[str]) -> tuple[int, float]:
+        if len(row) <= max(t_idx, p_idx):
+            raise ParseError(row_no, f"row has {len(row)} fields, need {max(t_idx, p_idx) + 1}")
+        try:
+            raw_t = Decimal(row[t_idx])
+        except InvalidOperation:
+            raise ParseError(row_no, f"non-numeric timestamp {row[t_idx]!r}") from None
+        if not raw_t.is_finite():
+            raise ParseError(row_no, f"non-finite timestamp {row[t_idx]!r}")
+        # checked before int(), which would expand a huge exponent digit by digit
+        if not -(2**63) <= raw_t < 2**63:
+            raise TimestampRangeError(raw_t)
+        try:
+            power = float(row[p_idx])
+        except ValueError:
+            raise ParseError(row_no, f"non-numeric power {row[p_idx]!r}") from None
+        if not math.isfinite(power):
+            raise ParseError(row_no, f"non-finite power {row[p_idx]!r}")
+        return int(raw_t), power
+
     return _collect(rows, parse, tolerant, "rows")
-
-
-def _parse_csv_row(row_no: int, row: list[str], t_idx: int, p_idx: int) -> tuple[int, float]:
-    if len(row) <= max(t_idx, p_idx):
-        raise ParseError(row_no, f"row has {len(row)} fields, need {max(t_idx, p_idx) + 1}")
-    try:
-        raw_t = Decimal(row[t_idx])
-    except InvalidOperation:
-        raise ParseError(row_no, f"non-numeric timestamp {row[t_idx]!r}") from None
-    if not raw_t.is_finite():
-        raise ParseError(row_no, f"non-finite timestamp {row[t_idx]!r}")
-    # checked before int(), which would expand a huge exponent digit by digit
-    if not -(2**63) <= raw_t < 2**63:
-        raise TimestampRangeError(raw_t)
-    try:
-        power = float(row[p_idx])
-    except ValueError:
-        raise ParseError(row_no, f"non-numeric power {row[p_idx]!r}") from None
-    if not math.isfinite(power):
-        raise ParseError(row_no, f"non-finite power {row[p_idx]!r}")
-    return int(raw_t), power
 
 
 def _displaced_rows(leg: np.ndarray) -> np.ndarray:

@@ -66,16 +66,22 @@ def sample_time_based(segment: PowerTrace, delta_t: int) -> ReadingStream:
     delta_t = int(delta_t)
     start, end = segment.start, segment.end
     full, partial = divmod(segment.duration, delta_t)
+    readings = 1 + full + (partial > 0)  # with the initial baseline
+    stamps, triggers = np.empty(readings, np.int64), np.full(readings, WINDOW, np.uint8)
+    stamps[0], triggers[0] = start, INITIAL
+    if partial:  # the trailing partial window
+        stamps[-1], triggers[-1] = end, FINAL
     # edges start + delta_t * k in wrapping uint64: exact, as each edge fits int64
-    offsets = np.arange(1, full + 1, dtype=np.uint64) * np.uint64(min(delta_t, segment.duration))
-    edges = (offsets + np.uint64(start % 2**64)).view(np.int64)
-    stamps = np.concatenate(([start], edges, np.array([end] if partial else [], np.int64)))
-    bounds = np.searchsorted(segment.timestamps, stamps)
+    edges = stamps[1:1 + full].view(np.uint64)
+    edges.fill(min(delta_t, segment.duration))
+    np.cumsum(edges, out=edges)
+    edges += np.uint64(start % 2**64)
     # cumulative-sum differences telescope, so the stream conserves energy
     # exactly even when individual windows are empty
-    energies = np.concatenate(([0.0], np.diff(segment._cumulative_ws[bounds])))
-    triggers = np.where(np.arange(len(stamps)) > full, FINAL, WINDOW)
-    triggers[0] = INITIAL
+    cumulative = segment._cumulative_ws[np.searchsorted(segment.timestamps, stamps)]
+    energies = np.empty(stamps.size)
+    energies[0] = 0.0
+    np.subtract(cumulative[1:], cumulative[:-1], out=energies[1:])
     return ReadingStream(stamps, triggers, energies)
 
 

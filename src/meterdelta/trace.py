@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,10 @@ SECONDS_PER_DAY = 86400.0
 
 # raw samples, as loaded from a file: int64 epoch seconds, float64 watts
 SAMPLE_DTYPE = np.dtype([("timestamp", np.int64), ("power", np.float64)])
+
+# steps that trace_stats and segment_trace read at once: a trace-sized temporary would
+# lift a sweep's peak memory above its ingest's
+_BLOCK = 2**13
 
 
 def _private(values, dtype) -> np.ndarray:
@@ -106,7 +110,9 @@ class PowerTrace:
     def _cumulative_ws(self) -> np.ndarray:
         """Energy before each sample and after the last: entry i sums the
         first i powers in order, so differences of entries telescope."""
-        cumulative = np.concatenate(([0.0], np.cumsum(self.powers)))
+        cumulative = np.empty(self.powers.size + 1)
+        cumulative[0] = 0.0
+        np.cumsum(self.powers, out=cumulative[1:])
         cumulative.flags.writeable = False
         return cumulative
 
@@ -228,23 +234,37 @@ def _steps(timestamps: np.ndarray) -> np.ndarray:
     return np.diff(timestamps.view(np.uint64))
 
 
-def _one_second_changes(trace: PowerTrace) -> np.ndarray:
-    """|power change| between each pair of samples exactly one second apart, in order."""
-    return np.abs(np.diff(trace.powers))[_steps(trace.timestamps) == 1]
+def _step_blocks(timestamps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first, steps) per block of up to _BLOCK steps, in order: steps[i] is _steps' entry
+    first + i. Each block starts at the previous one's last sample, so every step is in
+    exactly one; all blocks share one buffer, which the next block overwrites."""
+    ts = timestamps.view(np.uint64)
+    buffer = np.empty(min(_BLOCK, ts.size - 1), np.uint64)
+    for first in range(0, ts.size - 1, _BLOCK):
+        steps = buffer[:min(_BLOCK, ts.size - 1 - first)]
+        np.subtract(ts[first + 1:first + 1 + steps.size], ts[first:first + steps.size], out=steps)
+        yield first, steps
 
 
 def trace_stats(trace: PowerTrace) -> TraceStats:
-    """Compute :class:`TraceStats` for a validated trace."""
-    changes = _one_second_changes(trace)
-    duration = trace.duration
+    """Compute :class:`TraceStats` for a validated trace, reading it a block at a time."""
+    pw, duration = trace.powers, trace.duration
+    peak_variation, gap_count = 0.0, 0
+    changes = np.empty(min(_BLOCK, pw.size - 1))
+    for first, steps in _step_blocks(trace.timestamps):
+        block = changes[:steps.size]
+        np.subtract(pw[first + 1:first + 1 + block.size], pw[first:first + block.size], out=block)
+        np.abs(block, out=block)
+        peak_variation = np.max(block, where=steps == 1, initial=peak_variation)
+        gap_count += int(np.count_nonzero(steps > 1))
     return TraceStats(
-        peak_power_w=float(trace.powers.max()),
-        peak_variation_w=float(changes.max()) if changes.size else 0.0,
+        peak_power_w=float(pw.max()),
+        peak_variation_w=float(peak_variation),
         total_energy_wh=trace.total_energy_wh,
         mean_daily_energy_wh=trace.total_energy_wh / (duration / SECONDS_PER_DAY),
         coverage=len(trace) / duration,
         duration_s=duration,
-        gap_count=int(np.count_nonzero(_steps(trace.timestamps) > 1)),
+        gap_count=gap_count,
     )
 
 
@@ -254,11 +274,14 @@ def segment_trace(trace: PowerTrace, max_gap: int) -> list[PowerTrace]:
     order; each covers [start, end) with end exclusive."""
     if max_gap < 1:
         raise ValueError("max_gap must be >= 1")
-    cuts = np.flatnonzero(_steps(trace.timestamps) > max_gap) + 1
+    cuts = []  # the first sample of each segment after the first
+    for first, steps in _step_blocks(trace.timestamps):
+        cuts += (np.flatnonzero(steps > max_gap) + (first + 1)).tolist()
     if log.isEnabledFor(logging.DEBUG):
-        for before, after in zip(*trace.timestamps[[cuts - 1, cuts]].tolist()):
+        for cut in cuts:
+            before, after = int(trace.timestamps[cut - 1]), int(trace.timestamps[cut])
             log.debug("split at the gap [%d, %d) of %d s", before + 1, after, after - before - 1)
-    bounds = [0, *cuts.tolist(), len(trace)]
+    bounds = [0, *cuts, len(trace)]
     return [
         PowerTrace(trace.timestamps[a:b], trace.powers[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
@@ -272,7 +295,7 @@ def first_difference_distribution(trace: PowerTrace) -> DiffDistribution:
     zeros rather than failing; a trace with no adjacent sample pair at all
     raises DegenerateTraceError.
     """
-    diffs = np.sort(_one_second_changes(trace))[::-1]
+    diffs = np.sort(np.abs(np.diff(trace.powers))[_steps(trace.timestamps) == 1])[::-1]
     if diffs.size == 0:
         raise DegenerateTraceError("no pair of samples exactly one resolution step apart")
     peak = diffs[0]

@@ -1,6 +1,20 @@
+import tracemalloc
+
 import pytest
 
 from meterdelta import segment_trace, validate_trace
+
+
+def traced_peak(run) -> int:
+    """The peak bytes that tracemalloc sees allocated while run() runs, after one
+    untraced warm-up call, so that nothing first-call-only is counted."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def trace_samples(trace):

@@ -11,7 +11,10 @@ indexed_held_powers is reconstruct's former index route, with the same
 bit-equality demand on held powers. sorted_leg_sum is combine_mains'
 former route, which sorted each second's leg powers before summing, and
 unique_last_value_wins its former deduplication through np.unique.
-reference_sweep chains these oracles into a whole sweep of a house directory.
+whole_trace_stats and whole_trace_cuts are trace_stats and segment_trace's
+cut search as they were before they read the trace in blocks, with the same
+bit-equality demand. reference_sweep chains these oracles into a whole sweep
+of a house directory.
 
 bench/gen.py loads this file by path, without the package on sys.path, so
 every meterdelta import stays inside the function that needs it.
@@ -176,6 +179,37 @@ def unique_last_value_wins(samples):
     return reverse[last]
 
 
+def _whole_steps(timestamps):
+    """Every step between consecutive timestamps at once, exact on the uint64 view."""
+    return np.diff(timestamps.view(np.uint64))
+
+
+def whole_trace_stats(trace):
+    """trace_stats from first differences and steps of the whole trace at once,
+    the way the library computed them before it read the trace in blocks."""
+    from meterdelta.trace import SECONDS_PER_DAY, TraceStats
+
+    steps = _whole_steps(trace.timestamps)
+    changes = np.abs(np.diff(trace.powers))[steps == 1]
+    duration = trace.duration
+    return TraceStats(
+        peak_power_w=float(trace.powers.max()),
+        peak_variation_w=float(changes.max()) if changes.size else 0.0,
+        total_energy_wh=trace.total_energy_wh,
+        mean_daily_energy_wh=trace.total_energy_wh / (duration / SECONDS_PER_DAY),
+        coverage=len(trace) / duration,
+        duration_s=duration,
+        gap_count=int(np.count_nonzero(steps > 1)),
+    )
+
+
+def whole_trace_cuts(timestamps, max_gap):
+    """The index of every sample more than max_gap seconds after the one before
+    it, found over the whole trace at once, as segment_trace did before it read
+    the trace in blocks. Returns a list of ints."""
+    return (np.flatnonzero(_whole_steps(timestamps) > max_gap) + 1).tolist()
+
+
 def brute_force_time_readings(timestamps, powers, delta_t):
     """Window sums recomputed per window with plain python arithmetic."""
     ts = [int(t) for t in timestamps]
@@ -243,11 +277,11 @@ def reference_sweep(house_dir, dt_list, p_list, e_list, spec, max_gap):
     sorted_leg_sum; the trace cut where a step exceeds max_gap; periodic rows
     from closed_form_time_readings and event rows from python_event_readings,
     each scored by reconstruct and error_components pooled over the segments.
-    Statistics and thresholds come from the library's trace_stats and
-    threshold_grid, which have no oracle.
+    Statistics come from whole_trace_stats, and thresholds from the
+    library's threshold_grid, which has no oracle.
     Returns a SweepResult; raises as the library does on a degenerate trace."""
     from meterdelta import (EvalResult, PowerTrace, SweepResult, error_components,
-                            load_redd_channel, reconstruct, threshold_grid, trace_stats)
+                            load_redd_channel, reconstruct, threshold_grid)
 
     legs = []
     for n in (1, 2):
@@ -259,7 +293,7 @@ def reference_sweep(house_dir, dt_list, p_list, e_list, spec, max_gap):
     cuts = [i for i in range(1, len(stamps)) if stamps[i] - stamps[i - 1] > max_gap]
     bounds = [0, *cuts, len(stamps)]
     segments = [PowerTrace(stamps[a:b], powers[a:b]) for a, b in zip(bounds, bounds[1:])]
-    stats = trace_stats(trace)
+    stats = whole_trace_stats(trace)
     grid = threshold_grid(stats, p_list, e_list, spec)  # first: a trace without energy fails here
     reference_count = sum(-(-seg.duration // 10) for seg in segments)  # the 10 s meter's messages
 

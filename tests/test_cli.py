@@ -233,6 +233,13 @@ def test_a_sweep_runs_with_stdout_closed(trace_a_file, tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["trace_a_sweep.csv", "trace_a_sweep.json"]
 
 
+@pytest.mark.parametrize("command", [["stats"], ["diffdist"], ["sample", "--strategy", "time", "--delta-t", "5"]])
+def test_a_command_writing_stdout_exits_1_with_stdout_closed(trace_a_file, command):
+    done = _cli_process([*command, "--input", str(trace_a_file)], preexec_fn=lambda: os.close(1),
+                        stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (1, "error: stdout is closed\n")
+
+
 def test_a_stdout_that_takes_no_output_exits_1(trace_a_file):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails

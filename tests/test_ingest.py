@@ -3,7 +3,6 @@ import io
 import locale
 import os
 import subprocess
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from meterdelta import combine_mains, load_csv, load_redd_channel, load_redd_house
 from meterdelta.errors import EmptyInputError, MissingColumnError, ParseError, TimestampRangeError
 from meterdelta.trace import SAMPLE_DTYPE, _sample_array
+from conftest import traced_peak
 from oracles import sorted_leg_sum
 
 
@@ -340,13 +340,7 @@ def test_combine_mains_holds_no_sorted_copy_of_a_leg():
         stamps = rng.permutation(100_000)
         stamps[::100] = stamps[1::100]
         legs.append(_sample_array(stamps, rng.random(stamps.size)))
-    combine_mains(legs)  # warm-up: nothing first-call-only is counted below
-    tracemalloc.start()
-    try:
-        combine_mains(legs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: combine_mains(legs))
     # the two legs' row orders (half a leg each) and the total: 2 x one leg;
     # a sorted copy of each leg besides would peak at 3.5 x one leg
     assert peak < 2.25 * legs[0].nbytes
@@ -362,13 +356,7 @@ def test_combine_mains_holds_no_row_order_of_a_nearly_sorted_leg():
         stamps[swapped], stamps[swapped + 1] = stamps[swapped + 1], stamps[swapped]
         stamps[repeated] = stamps[repeated - 1]
         legs.append(_sample_array(stamps, rng.random(stamps.size)))
-    combine_mains(legs)  # warm-up: nothing first-call-only is counted below
-    tracemalloc.start()
-    try:
-        combine_mains(legs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: combine_mains(legs))
     # the total (one leg) and the few displaced rows; a full row order of each
     # leg besides would peak at 2 x one leg
     assert peak < 1.25 * legs[0].nbytes

@@ -1,6 +1,9 @@
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -51,6 +54,14 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert meterdelta.__version__ == tomllib.loads(pyproject)["project"]["version"]
+
+
+def test_importing_the_cli_loads_neither_decimal_nor_the_thread_pool():
+    # a REDD sweep never parses CSV timestamps, and stats never starts a scorer thread
+    code = "import sys, meterdelta.cli; print(sorted({'decimal', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(meterdelta.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_console_script_ends_the_process_as_python_m_does():

@@ -1,10 +1,9 @@
 import itertools
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meterdelta import (
@@ -24,9 +23,10 @@ from meterdelta.errors import (
     NonFiniteError,
     TimestampRangeError,
 )
-from meterdelta.trace import _last_value_wins, _sample_array
-from conftest import trace_samples
-from oracles import random_gappy_trace, random_step_trace, unique_last_value_wins
+from meterdelta.trace import _BLOCK, _last_value_wins, _sample_array
+from conftest import trace_samples, traced_peak
+from oracles import (random_gappy_trace, random_step_trace, unique_last_value_wins, whole_trace_cuts,
+                     whole_trace_stats)
 
 
 def test_validate_passthrough():
@@ -239,14 +239,39 @@ def test_validate_trace_allocates_each_column_once():
     for timestamps, bound in ((np.arange(n), 1.25), (np.arange(n)[::-1], 1.75),
                               (np.arange(n)[::-1] // 2, 1.25)):
         raw = _sample_array(timestamps, np.ones(n))
-        validate_trace(raw)  # warm-up: nothing first-call-only is counted below
-        tracemalloc.start()
-        try:
-            validate_trace(raw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: validate_trace(raw))
         assert peak < bound * raw.nbytes, (timestamps[:2], peak / raw.nbytes)
+
+
+@pytest.fixture(scope="module")
+def gappy_million():
+    """10**6 samples: a gap of 1 to 199 s after about one sample in fifty, and ten of two hours."""
+    rng = np.random.default_rng(17)
+    steps = np.where(rng.random(10**6 - 1) < 0.02, rng.integers(2, 201, 10**6 - 1), 1)
+    steps[rng.choice(steps.size, 10, replace=False)] = 7201
+    return PowerTrace(np.concatenate(([0], np.cumsum(steps))), rng.integers(0, 5000, 10**6) * 1.0)
+
+
+def test_trace_stats_reads_the_trace_in_blocks(gappy_million):
+    trace = gappy_million
+    # a block's steps and changes; the whole trace's steps, changes and one-second
+    # mask at once peaked at 1.06 x its columns
+    peak = traced_peak(lambda: trace_stats(trace))
+    assert peak < 0.25 * (trace.timestamps.nbytes + trace.powers.nbytes)
+
+
+def test_segment_trace_reads_the_trace_in_blocks(gappy_million):
+    trace = gappy_million
+    # a block's steps and the eleven segments; the whole trace's steps alone are 0.5 x its columns
+    peak = traced_peak(lambda: segment_trace(trace, 3600))
+    assert peak < 0.125 * (trace.timestamps.nbytes + trace.powers.nbytes)
+
+
+def test_cumulative_sums_are_allocated_once(gappy_million):
+    segment = max(segment_trace(gappy_million, 3600), key=len)
+    # n + 1 sums, 1 x the powers; a cumsum copied behind a leading zero peaked at 2 x
+    peak = traced_peak(lambda: PowerTrace(segment.timestamps, segment.powers)._cumulative_ws)
+    assert peak < 1.25 * segment.powers.nbytes
 
 
 def test_stats_trace_a(trace_a):
@@ -376,6 +401,51 @@ def test_peak_variation_is_max_over_segments():
     for max_gap in (1, 5, 50):
         segments = segment_trace(trace, max_gap)
         assert max(trace_stats(s).peak_variation_w for s in segments) == expected
+
+
+def _block_edge_trace(n, steps, anchor, edge_step, constant, seed) -> PowerTrace:
+    """n samples whose steps are all 1 s ("ones"), all gaps ("gaps") or mostly 1 s ("mixed").
+    edge_step, unless None, is forced at the steps either side of each block edge, and one
+    of them carries a 10 MW change. anchor puts the first timestamp at -2**63 ("low"), the
+    last at 2**63 - 2 ("high"), both, with a first step over 2**63 s, or neither."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(2, 10**4, n - 1)
+    step = {"ones": np.ones(n - 1, np.int64), "gaps": gaps,
+            "mixed": np.where(rng.random(n - 1) < 0.1, gaps, 1)}[steps].tolist()
+    powers = np.full(n, 250.0) if constant else rng.random(n) * 5000
+    edges = [e for e in (_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK) if e < n - 1]
+    if edge_step is not None and edges:
+        for edge in edges:
+            step[edge] = edge_step
+        if not constant:
+            powers[rng.choice(edges) + 1] = 1e7
+    first = {"low": -(2**63), "high": 2**63 - 2 - sum(step)}.get(anchor, int(rng.integers(-10**12, 10**12)))
+    if anchor == "both" and step:
+        first, step[0] = -(2**63), step[0] + 2**64 - 2 - sum(step)
+    return PowerTrace(list(itertools.accumulate(step, initial=first)), powers)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+       steps=st.sampled_from(["ones", "gaps", "mixed"]),
+       anchor=st.sampled_from(["low", "high", "both", "neither"]),
+       edge_step=st.sampled_from([None, 1, 2, 3601]),
+       constant=st.booleans(),
+       max_gap=st.one_of(st.sampled_from([1, 10, 3600, 2**63, 10**30]), st.integers(1, 2**64)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, steps="ones", anchor="high", edge_step=None, constant=True, max_gap=1, seed=0)
+@example(n=_BLOCK - 1, steps="mixed", anchor="neither", edge_step=None, constant=False, max_gap=10, seed=1)
+@example(n=_BLOCK, steps="gaps", anchor="low", edge_step=None, constant=False, max_gap=1, seed=2)
+@example(n=_BLOCK + 1, steps="gaps", anchor="neither", edge_step=1, constant=False, max_gap=10, seed=3)
+@example(n=_BLOCK + 1, steps="ones", anchor="high", edge_step=3601, constant=False, max_gap=3600, seed=4)
+@example(n=2 * _BLOCK + 1, steps="mixed", anchor="both", edge_step=2, constant=False, max_gap=10**30, seed=5)
+@example(n=2 * _BLOCK + 1, steps="ones", anchor="low", edge_step=None, constant=True, max_gap=1, seed=6)
+def test_block_wise_stats_and_cuts_equal_the_whole_trace_oracles(n, steps, anchor, edge_step, constant,
+                                                                 max_gap, seed):
+    trace = _block_edge_trace(n, steps, anchor, edge_step, constant, seed)
+    assert trace_stats(trace) == whole_trace_stats(trace)
+    cuts = list(itertools.accumulate(map(len, segment_trace(trace, max_gap))))[:-1]
+    assert cuts == whole_trace_cuts(trace.timestamps, max_gap)
 
 
 def test_diffdist_trace_a(trace_a):
