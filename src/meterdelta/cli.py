@@ -343,7 +343,7 @@ def main(argv=None) -> int:
 def run_and_exit() -> NoReturn:
     """Run main() on sys.argv and end the process with its code, without interpreter
     finalization (module teardown, the final garbage collection, atexit hooks): by then
-    _emit has flushed stdout and written each file whole, and run_sweep has joined its thread."""
+    _emit has flushed stdout and written each file whole, and no other thread is running."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None in a process started with the descriptor closed

@@ -6,12 +6,10 @@ NMAE is the sum of absolute per-second errors divided by the sum of the
 original powers; it penalizes large deviations less brutally than squared
 metrics, which matters for spiky household signals. A sweep takes a whole
 trace, derives its thresholds once, and scores whole grids of periodic and
-event parameters on its segments. It samples each grid point's row on the
-calling thread and hands it at once to one worker thread, which scores it in
-one C pass per segment that drops the GIL and sums the errors in np.sum's
-pairwise order, bit-equal to reconstruct's numpy route. The calling thread
-waits for scores only once every row is sampled; the queued rows need no
-bound, as the scan's buffers and ingest, not their streams, set peak memory.
+event parameters on its segments. It runs on one thread: each grid point's
+row is sampled and then scored, one C pass per segment that sums the errors
+in np.sum's pairwise order, bit-equal to reconstruct's numpy route, before
+the next row is sampled, so a sweep holds one row's streams at a time.
 """
 from __future__ import annotations
 
@@ -131,10 +129,9 @@ def run_sweep(
     Thresholds derive once from the whole trace's statistics. The trace is
     split at gaps longer than max_gap seconds; each grid point is sampled and
     scored per segment and pooled. compression_vs_10s always compares against
-    the 10 s periodic strategy, whether or not 10 appears in dt_list. Each row
-    is sampled on the calling thread, in grid order, and handed at once to one
-    worker thread to be scored; this thread waits for scores only after the
-    last row, and an error leaves as it would from a serial loop over the rows.
+    the 10 s periodic strategy, whether or not 10 appears in dt_list. Rows are
+    sampled and scored one at a time, in grid order, on the calling thread; the
+    first error in grid order leaves, and no later row is sampled.
     """
     dt_values = list(dict.fromkeys(dt_list))  # sample_time_based rejects a fractional dt
     if not dt_values:
@@ -144,25 +141,14 @@ def run_sweep(
     # the reference meter sends one message per window, partial or not
     reference_count = sum(-(-s.duration // COMPRESSION_REFERENCE_DT) for s in segments)
 
-    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs it: 4 ms of import
+    def row(sample, param) -> tuple[float, int]:
+        return _pooled_score(segments, [sample(s, param) for s in segments])
 
-    futures = []
-    with ThreadPoolExecutor(1) as scorer:
-        def row(sample, param) -> None:  # sampled here, scored pooled on the scorer thread
-            streams = [sample(s, param) for s in segments]
-            futures.append(scorer.submit(_pooled_score, segments, streams))
-
-        try:
-            # samplers are named here, at call time, so wrappers installed on this module
-            # apply; they run on this thread alone
-            for dt in dt_values:
-                row(sample_time_based, dt)
-            # after the periodic rows: a zero trace fails with their ZeroEnergySegmentError
-            grid = threshold_grid(stats, p_list, e_list, spec)
-            for _, _, th in grid:
-                row(sample_event_based, th)
-        finally:  # every sampled row is scored before an error leaves; the first in grid order wins
-            scores = [future.result() for future in futures]
+    # samplers are named here, at call time, so wrappers installed on this module apply
+    scores = [row(sample_time_based, dt) for dt in dt_values]
+    # after the periodic rows: a zero trace fails with their ZeroEnergySegmentError
+    grid = threshold_grid(stats, p_list, e_list, spec)
+    scores += [row(sample_event_based, th) for _, _, th in grid]
     scored = [(score, count, compression_ratio(reference_count, count)) for score, count in scores]
     # sampled without error, each dt is a whole number, which int() takes
     time_based = tuple(EvalResult(*r, dt=int(dt)) for r, dt in zip(scored, dt_values))

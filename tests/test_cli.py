@@ -748,6 +748,20 @@ def test_inputs_sharing_a_trace_id_exit_2_before_writing(tmp_path, capsys, comma
     assert str(inputs[0]) in captured.err and str(inputs[1]) in captured.err
 
 
+@pytest.mark.parametrize("command", [["stats"], ["diffdist"], ["sweep"],
+                                     ["sample", "--strategy", "time", "--delta-t", "2"]])
+def test_a_damaged_last_input_writes_nothing(trace_a_file, tmp_path, capsys, command):
+    # every input is loaded before the first output is written
+    damaged = tmp_path / "damaged.dat"
+    damaged.write_text("0 100\n1 abc\n")
+    out_dir = tmp_path / "out"
+    args = [*command, "--input", str(trace_a_file), "--input", str(damaged), "--out", str(out_dir)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    assert "non-numeric power 'abc'" in captured.err
+
+
 def test_trace_id_of_dot_and_of_a_symlink(house_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(house_dir)
     out_dir = tmp_path / "out"

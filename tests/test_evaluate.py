@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import threading
 
 import numpy as np
@@ -38,7 +37,7 @@ from meterdelta import evaluate
 from meterdelta._kernels import library
 from meterdelta.evaluate import _interval_powers, _pooled_score
 from meterdelta.sampler import FINAL, INITIAL, SILENCE, WINDOW
-from conftest import trace_samples
+from conftest import trace_samples, traced_peak
 from oracles import (indexed_held_powers, random_gappy_trace, random_step_trace,
                      random_thresholds)
 
@@ -334,31 +333,6 @@ def test_run_sweep_rows_compose_per_segment_operations_for_any_spec():
         assert (row.nmae, row.message_count, row.compression_vs_10s) == expected(streams)
 
 
-def test_run_sweep_rows_hold_under_rapid_thread_switches():
-    # the scorer thread reads the segments while this thread samples them and fills
-    # their caches; switching threads every microsecond must change no row
-    rng = np.random.default_rng(1809)
-    trace = validate_trace(random_gappy_trace(rng, length=3000, gap_chance=0.004, max_gap=400))
-    segments = segment_trace(trace, max_gap=60)
-    assert len(segments) >= 3
-    th_grid = threshold_grid(trace_stats(trace), DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
-                             ThresholdSpec())
-    rows = [(sample_time_based, dt) for dt in DEFAULT_DT_GRID] + [
-        (sample_event_based, th) for _, _, th in th_grid]
-    expected = []
-    for sample, param in rows:
-        parts = [error_components(seg, reconstruct(sample(seg, param), seg)) for seg in segments]
-        expected.append(sum(n for n, _ in parts) / sum(d for _, d in parts))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
-                           ThresholdSpec(), max_gap=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [row.nmae for row in result.time_based + result.event_based] == expected
-
-
 def test_run_sweep_samples_each_segment_once_per_grid_point(monkeypatch):
     # the traced benchmark times and counts sampling by wrapping the public samplers where
     # run_sweep looks them up; a private sampling step would hide every call from it
@@ -409,8 +383,8 @@ def test_run_sweep_rejects_empty_grids():
 
 
 def test_run_sweep_raises_as_a_serial_loop_and_leaves_no_thread_behind():
-    # rows are scored on a second thread while the next ones are sampled: every
-    # earlier row is still scored before a later step's error leaves
+    # each row is scored on this thread before the next is sampled, so the first error
+    # in grid order leaves and no thread is started
     zero = validate_trace([(t, 0.0) for t in range(100)])
     threads = threading.active_count()
     with pytest.raises(ZeroEnergySegmentError):  # the dt = 10 row's, not dt = 10.5's ValueError
@@ -428,10 +402,9 @@ def test_run_sweep_raises_as_a_serial_loop_and_leaves_no_thread_behind():
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["scores", "errors"])
-def test_run_sweep_samples_every_row_before_it_waits_for_a_score(monkeypatch, fail):
-    # each row goes to the scorer as soon as it is sampled: the first row's score blocks
-    # until the grid's last sampler call, which a sweep that waits for it never reaches
+def test_run_sweep_raises_the_first_rows_error_before_it_samples_a_later_row(monkeypatch):
+    # each row is scored as soon as it is sampled: the first row's error leaves, not the
+    # one the grid's last sampler call would raise, and no event row is sampled
     class FirstRowError(Exception):
         pass
 
@@ -441,44 +414,36 @@ def test_run_sweep_samples_every_row_before_it_waits_for_a_score(monkeypatch, fa
     assert len(segments) >= 3
     th_grid = threshold_grid(trace_stats(trace), DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
                              ThresholdSpec())
-    rows = [(sample_time_based, dt) for dt in DEFAULT_DT_GRID] + [
-        (sample_event_based, th) for _, _, th in th_grid]
-    expected = []
-    for sample, param in rows:
-        parts = [error_components(seg, reconstruct(sample(seg, param), seg)) for seg in segments]
-        expected.append(sum(n for n, _ in parts) / sum(d for _, d in parts))
-
-    last_sampled = threading.Event()
-    event_calls, set_at_first_score = [], []
+    event_calls, scored = [], []
 
     def sample_event(segment, th, sample=evaluate.sample_event_based):
         event_calls.append(th)
         if len(event_calls) == len(th_grid) * len(segments):
-            last_sampled.set()
-            if fail:
-                raise ValueError("the last cell's sampler fails")
+            raise ValueError("the last cell's sampler fails")
         return sample(segment, th)
 
-    def score(segments, streams, score=evaluate._pooled_score):
-        if not set_at_first_score:
-            set_at_first_score.append(last_sampled.wait(timeout=2))
-            if fail:
-                raise FirstRowError
-        return score(segments, streams)
+    def score(segments, streams):
+        scored.append(len(streams))
+        raise FirstRowError
 
     monkeypatch.setattr(evaluate, "sample_event_based", sample_event)
     monkeypatch.setattr(evaluate, "_pooled_score", score)
     threads = threading.active_count()
-    if fail:
-        with pytest.raises(FirstRowError):  # the first row's error, not the last cell's
-            run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
-                      ThresholdSpec(), max_gap=60)
-    else:
-        result = run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
-                           ThresholdSpec(), max_gap=60)
-        assert [row.nmae for row in result.time_based + result.event_based] == expected
-    assert set_at_first_score == [True]
+    with pytest.raises(FirstRowError):  # the first row's error, not the last cell's
+        run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID, DEFAULT_PERCENT_GRID,
+                  ThresholdSpec(), max_gap=60)
+    assert scored == [len(segments)] and event_calls == []
     assert threading.active_count() == threads
+
+
+def test_run_sweep_holds_one_row_at_a_time():
+    # the one segment's prefix sums (0.5 x) beside one event row's scan buffers (about
+    # 1.06 x) peak at 1.61-1.62 x the trace's column bytes; with each row queued for a
+    # scorer thread the sweep peaked at 1.78-1.90 x on this trace
+    trace = validate_trace(random_step_trace(np.random.default_rng(3), length=250_000))
+    peak = traced_peak(lambda: run_sweep(trace, DEFAULT_DT_GRID, DEFAULT_PERCENT_GRID,
+                                         DEFAULT_PERCENT_GRID, ThresholdSpec(), max_gap=3600))
+    assert peak < 1.7 * (trace.timestamps.nbytes + trace.powers.nbytes)
 
 
 def test_run_sweep_compression_reference_present_even_without_dt10():

@@ -57,7 +57,7 @@ def test_version_matches_pyproject():
 
 
 def test_importing_the_cli_loads_neither_decimal_nor_the_thread_pool():
-    # a REDD sweep never parses CSV timestamps, and stats never starts a scorer thread
+    # a REDD sweep never parses CSV timestamps, and nothing in the package runs a thread pool
     code = "import sys, meterdelta.cli; print(sorted({'decimal', 'concurrent.futures'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(meterdelta.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
