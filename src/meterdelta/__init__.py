@@ -5,6 +5,8 @@ send-on-delta trigger thresholds from a trace's own statistics, produces
 reading streams under event-based or periodic metering, and scores the
 reconstructed signals with NMAE and compression metrics.
 """
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateStatsError,
     DegenerateTraceError,
@@ -61,46 +63,6 @@ from .trace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPRESSION_REFERENCE_DT",
-    "DEFAULT_DT_GRID",
-    "DEFAULT_PERCENT_GRID",
-    "DegenerateStatsError",
-    "DegenerateTraceError",
-    "DiffDistribution",
-    "EmptyInputError",
-    "EvalResult",
-    "MeterDeltaError",
-    "MismatchedSegmentError",
-    "MissingColumnError",
-    "NegativePowerError",
-    "NonFiniteError",
-    "ParseError",
-    "PowerTrace",
-    "ReadingStream",
-    "SweepResult",
-    "ThresholdSpec",
-    "Thresholds",
-    "TimestampRangeError",
-    "TraceStats",
-    "ZeroCandidateError",
-    "ZeroEnergySegmentError",
-    "combine_mains",
-    "compression_ratio",
-    "derive_thresholds",
-    "error_components",
-    "first_difference_distribution",
-    "load_csv",
-    "load_redd_channel",
-    "load_redd_house",
-    "message_count",
-    "nmae",
-    "reconstruct",
-    "run_sweep",
-    "sample_event_based",
-    "sample_time_based",
-    "segment_trace",
-    "threshold_grid",
-    "trace_stats",
-    "validate_trace",
-]
+# every public name is written once, in the imports above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -118,13 +118,18 @@ def _parse_channel_line(line_no: int, tokens: list[str]) -> tuple[int, float]:
         timestamp = int(tokens[0])
     except ValueError:
         raise ParseError(line_no, f"non-integer timestamp {tokens[0]!r}") from None
+    return timestamp, _parse_power(line_no, tokens[1])
+
+
+def _parse_power(line_no: int, field: str) -> float:
+    """A power field of either text format: a finite float."""
     try:
-        power = float(tokens[1])
+        power = float(field)
     except ValueError:
-        raise ParseError(line_no, f"non-numeric power {tokens[1]!r}") from None
+        raise ParseError(line_no, f"non-numeric power {field!r}") from None
     if not math.isfinite(power):
-        raise ParseError(line_no, f"non-finite power {tokens[1]!r}")
-    return timestamp, power
+        raise ParseError(line_no, f"non-finite power {field!r}")
+    return power
 
 
 def load_csv(
@@ -166,13 +171,7 @@ def load_csv(
         # checked before int(), which would expand a huge exponent digit by digit
         if not -(2**63) <= raw_t < 2**63:
             raise TimestampRangeError(raw_t)
-        try:
-            power = float(row[p_idx])
-        except ValueError:
-            raise ParseError(row_no, f"non-numeric power {row[p_idx]!r}") from None
-        if not math.isfinite(power):
-            raise ParseError(row_no, f"non-finite power {row[p_idx]!r}")
-        return int(raw_t), power
+        return int(raw_t), _parse_power(row_no, row[p_idx])
 
     return _collect(rows, parse, tolerant, "rows")
 

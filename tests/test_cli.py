@@ -17,8 +17,8 @@ import meterdelta
 from meterdelta import segment_trace, validate_trace
 from meterdelta.cli import build_parser, main
 
-from conftest import TRACE_A_POWERS
-from oracles import random_gappy_trace
+from conftest import TRACE_A_POWERS, traced_peak
+from oracles import random_gappy_trace, random_step_trace
 
 
 @pytest.fixture
@@ -307,6 +307,21 @@ def test_diffdist_to_dir(trace_a_file, tmp_path):
     out_dir = tmp_path / "dd"
     assert main(["diffdist", "--input", str(trace_a_file), "--out", str(out_dir)]) == 0
     assert (out_dir / "trace_a_diffdist.csv").exists()
+
+
+@pytest.mark.parametrize("command, bound", [
+    (["diffdist"], 12.2),
+    (["sample", "--strategy", "time", "--delta-t", "1"], 17.7),
+], ids=["diffdist", "sample-time"])
+def test_a_command_writing_a_row_per_sample_peaks_within_its_baseline(tmp_path, command, bound):
+    # each command joins all its rows into one text, so it peaks at many times the
+    # trace: 11.11 x (diffdist) and 16.08 x (sample) the column bytes, three runs each,
+    # and each bound is 10 % above; a writer that emits rows in blocks should lower them
+    samples = random_step_trace(np.random.default_rng(38), length=50_000)
+    f = tmp_path / "steps.dat"
+    f.write_text("".join(f"{t} {int(p)}\n" for t, p in samples))
+    peak = traced_peak(lambda: main([*command, "--input", str(f), "--out", str(tmp_path / "out")]))
+    assert peak < bound * 16 * len(samples)  # an int64 timestamp and a float64 power each
 
 
 def test_sample_event_readings_csv(trace_a_file, capsys):

@@ -21,6 +21,15 @@ def test_all_lists_exactly_the_public_names():
     namespace = {}
     exec("from meterdelta import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(meterdelta.__all__)
+    # __all__ is derived from __init__'s imports, so a stray one such as Path,
+    # dataclass or Sequence must fail here rather than be exported
+    submodules = {name: module for name, module in sys.modules.items() if name.startswith("meterdelta.")}
+    for name in meterdelta.__all__:
+        value = getattr(meterdelta, name)
+        assert any(vars(module).get(name) is value for module in submodules.values()), name
+        home = getattr(value, "__module__", None)
+        if home is not None:
+            assert home in submodules and vars(submodules[home]).get(name) is value, (name, home)
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -56,9 +65,12 @@ def test_version_matches_pyproject():
     assert meterdelta.__version__ == tomllib.loads(pyproject)["project"]["version"]
 
 
-def test_importing_the_cli_loads_neither_decimal_nor_the_thread_pool():
-    # a REDD sweep never parses CSV timestamps, and nothing in the package runs a thread pool
-    code = "import sys, meterdelta.cli; print(sorted({'decimal', 'concurrent.futures'} & set(sys.modules)))"
+def test_importing_the_cli_loads_none_of_decimal_futures_subprocess_or_hashlib():
+    # a REDD sweep never parses CSV timestamps, nothing in the package runs a thread pool,
+    # only a kernel build runs cc (subprocess: 5 ms of import), and the kernel cache is
+    # keyed by crc32 (hashlib loads OpenSSL: 3.4 MB)
+    avoided = "{'decimal', 'concurrent.futures', 'subprocess', 'hashlib'}"
+    code = f"import sys, meterdelta.cli; print(sorted({avoided} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(meterdelta.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
